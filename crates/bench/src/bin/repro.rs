@@ -200,10 +200,11 @@ fn run_pick(
             if let Some(p) = partitions {
                 cfg.partitions = p;
             }
-            let run = match shards {
-                Some(s) => podscale::run_podscale_sharded(seed, &cfg, s),
-                None => podscale::run_podscale(seed, &cfg),
+            let opts = podscale::RunOpts {
+                shards,
+                ..podscale::RunOpts::default()
             };
+            let run = podscale::run_podscale(seed, &cfg, opts);
             out.telemetry = Some(("podscale", run.telemetry.clone()));
             out.reports.push(run.report);
         }
@@ -212,7 +213,8 @@ fn run_pick(
             if let Some(p) = partitions {
                 cfg.partitions = p;
             }
-            let run = megapod::run_megapod(seed, &cfg, shards.unwrap_or_else(default_shards));
+            let opts = podscale::RunOpts::sharded(shards.unwrap_or_else(default_shards));
+            let run = podscale::run_podscale(seed, &cfg, opts);
             out.telemetry = Some(("megapod", run.telemetry.clone()));
             out.reports.push(run.report);
         }
@@ -662,8 +664,7 @@ fn run_slo_command(
         );
         std::process::exit(1);
     }
-    if ustore_sim::RequestTracer::compiled_in() && !matches!(run.lease_hit_rate, Some(r) if r > 0.0)
-    {
+    if !matches!(run.lease_hit_rate, Some(r) if r > 0.0) {
         eprintln!(
             "error: the leased run never hit the location-lease cache (hit rate {:?}) — the lease path is dead",
             run.lease_hit_rate

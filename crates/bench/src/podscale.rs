@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use ustore::{
     ClientLibConfig, MasterConfig, Mounted, ShardedPod, ShardedPodConfig, SpaceInfo, SystemConfig,
-    TelemetryPlan, TracePlan, UStoreClient, UStoreSystem, WatchdogConfig,
+    TelemetryPlan, TracePlan, UStoreClient, UStoreSystem, WatchdogConfig, WorldTelemetry,
 };
 use ustore_net::BlockDevice;
 use ustore_sim::{
@@ -55,7 +55,7 @@ pub struct PodConfig {
     /// Telemetry scrape cadence (scraper + Master watchdog are installed,
     /// as they would be in production).
     pub scrape_interval: Duration,
-    /// Unit-group worlds for the sharded engine ([`run_podscale_sharded`]).
+    /// Unit-group worlds for the sharded engine ([`RunOpts::shards`]).
     /// Part of the scenario, not the execution: the decomposition (and so
     /// the telemetry digest) depends on it, while the shard count does
     /// not. Must divide into `units` (1..=units).
@@ -137,14 +137,11 @@ impl PodConfig {
     }
 }
 
-/// Engine statistics specific to a sharded ([`run_podscale_sharded`]) run.
+/// Engine statistics specific to a sharded run ([`RunOpts::shards`]).
 #[derive(Debug, Clone)]
 pub struct ShardStats {
     /// Executor threads used.
     pub shards: usize,
-    /// Unit-group worlds the pod was decomposed into (plus the control
-    /// world).
-    pub groups: u32,
     /// Epoch windows the adaptive coordinator executed (each advances
     /// the global floor by up to one coalescing quantum).
     pub epochs: u64,
@@ -153,8 +150,6 @@ pub struct ShardStats {
     pub sync_rounds: u64,
     /// Envelopes routed across world boundaries.
     pub cross_messages: u64,
-    /// Peak live queue depth of the deepest single world (per-shard max).
-    pub peak_queue_depth_max: f64,
     /// Sum of per-world peaks — the whole-sim queue pressure a
     /// single-world engine would have carried.
     pub peak_queue_depth_sum: f64,
@@ -165,11 +160,9 @@ pub struct ShardStats {
 pub struct PodscaleRun {
     /// Human-readable summary rows.
     pub report: Report,
-    /// FNV-1a digest over the full telemetry export (metrics snapshot
-    /// JSON + span log JSON + scraped time-series CSV). Two same-seed
-    /// runs must produce the same digest. Sharded runs combine per-world
-    /// digests in world-id order; the result is identical for every shard
-    /// count but differs from the single-world [`run_podscale`] digest
+    /// Telemetry digest: every world's export folded in world-id order. Two
+    /// same-seed runs must produce the same digest. Sharded digests are
+    /// identical for every shard count but differ from the classic one
     /// (different decomposition, different RNG streams).
     pub digest: u64,
     /// Events the engine processed over the whole run (summed across
@@ -177,10 +170,10 @@ pub struct PodscaleRun {
     pub events: u64,
     /// Virtual seconds the run simulated (bring-up + workload).
     pub sim_seconds: f64,
-    /// Peak live event-queue depth (for sharded runs: the per-shard max;
-    /// see [`ShardStats`] for the whole-sim sum).
+    /// Peak live event-queue depth of the deepest world (see
+    /// [`ShardStats`] for the sharded whole-sim sum).
     pub peak_queue_depth: f64,
-    /// Sharded-engine statistics (`None` for [`run_podscale`]).
+    /// Sharded-engine statistics (`None` for the classic engine).
     pub sharding: Option<ShardStats>,
     /// Completed archival writes.
     pub writes_ok: u64,
@@ -191,12 +184,12 @@ pub struct PodscaleRun {
     /// Machine-readable summary (`{"experiment","seed","hosts",...}`).
     pub telemetry: Json,
     /// Wall-clock profiler snapshot (profiled runs only — see
-    /// [`run_podscale_profiled`] / [`run_podscale_sharded_profiled`]).
+    /// [`RunOpts::profile`]).
     pub prof: Option<ProfSnapshot>,
     /// Cross-world traffic matrix snapshot (profiled sharded runs only).
     pub traffic: Option<TrafficSnapshot>,
     /// Request-lifecycle trace snapshot (traced runs only — see
-    /// [`run_podscale_traced`] / [`run_podscale_sharded_traced`]).
+    /// [`RunOpts::trace`]).
     pub slo: Option<TraceSnapshot>,
     /// Replicated-log length of every metadata partition at the end of
     /// the run, as `(partition, applied length)` pairs in partition order
@@ -340,62 +333,111 @@ fn drive_workload(
     (writes_ok.get(), reads_ok.get(), io_errors.get())
 }
 
-/// Runs the pod-scale experiment once.
-///
-/// # Panics
-///
-/// Panics if bring-up fails (no active master, allocations not served) —
-/// a pod that cannot bring up is a broken system, not a measurement.
-pub fn run_podscale(seed: u64, cfg: &PodConfig) -> PodscaleRun {
-    run_podscale_opts(seed, cfg, false, None)
+/// How [`run_podscale`] executes the pod. The default is the classic
+/// single-world engine with no probes attached.
+#[derive(Debug, Clone, Default)]
+pub struct RunOpts {
+    /// `None` runs the classic single-world engine. `Some(n)` runs the
+    /// sharded engine: the pod is decomposed into `cfg.world_groups`
+    /// unit-group worlds plus a control world and executed by `n` OS
+    /// threads through adaptive epoch windows. The digest is identical
+    /// for every `n` but differs from the classic one (different
+    /// decomposition, different RNG streams).
+    pub shards: Option<usize>,
+    /// Attach the wall-clock profiler (and, sharded, the cross-world
+    /// traffic matrix). Populates `prof`/`traffic`; never changes the
+    /// simulation.
+    pub profile: bool,
+    /// Attach the request-lifecycle tracer. Populates `slo`; never
+    /// changes the simulation.
+    pub trace: Option<TracePlan>,
 }
 
-/// [`run_podscale`] with the wall-clock profiler attached to the classic
-/// single-threaded engine (world 0, lookahead 0). The simulation itself —
-/// events, telemetry, digest — is bit-identical to the unprofiled run; only
-/// `prof` and `run_wall_seconds` are populated.
-pub fn run_podscale_profiled(seed: u64, cfg: &PodConfig) -> PodscaleRun {
-    run_podscale_opts(seed, cfg, true, None)
+impl RunOpts {
+    /// The sharded engine on `shards` threads, no probes.
+    pub fn sharded(shards: usize) -> RunOpts {
+        RunOpts {
+            shards: Some(shards),
+            ..RunOpts::default()
+        }
+    }
+
+    /// These options with the wall-clock profiler attached.
+    pub fn profiled(self) -> RunOpts {
+        RunOpts {
+            profile: true,
+            ..self
+        }
+    }
+
+    /// These options with the request tracer attached.
+    pub fn traced(self, plan: TracePlan) -> RunOpts {
+        RunOpts {
+            trace: Some(plan),
+            ..self
+        }
+    }
 }
 
-/// [`run_podscale`] with the request-lifecycle tracer attached to the
-/// classic single-threaded engine. The simulation itself — events,
-/// telemetry, digest — is bit-identical to the untraced run; only `slo`
-/// is additionally populated.
-pub fn run_podscale_traced(seed: u64, cfg: &PodConfig, plan: TracePlan) -> PodscaleRun {
-    run_podscale_opts(seed, cfg, false, Some(plan))
+/// The deployment shape a [`PodConfig`] describes.
+fn system_config(cfg: &PodConfig) -> SystemConfig {
+    SystemConfig {
+        units: cfg.units,
+        hosts: cfg.hosts_per_unit,
+        disks: cfg.disks_per_unit,
+        fanin: cfg.fanin,
+        master: MasterConfig {
+            partitions: cfg.partitions.max(1),
+            ..MasterConfig::default()
+        },
+        clientlib: ClientLibConfig {
+            location_lease: cfg.location_lease,
+            ..ClientLibConfig::default()
+        },
+        ..SystemConfig::default()
+    }
 }
 
-fn run_podscale_opts(
-    seed: u64,
-    cfg: &PodConfig,
-    profile: bool,
-    trace: Option<TracePlan>,
-) -> PodscaleRun {
+/// Digest of one world's export: FNV-1a over the metrics snapshot JSON,
+/// the span log JSON and the scraped time-series CSV, each rotated into
+/// its own lane.
+pub(crate) fn world_digest(w: &WorldTelemetry) -> u64 {
+    fnv1a(w.metrics_json.as_bytes())
+        ^ fnv1a(w.spans_json.as_bytes()).rotate_left(1)
+        ^ fnv1a(w.scrape_csv.as_bytes()).rotate_left(2)
+}
+
+/// Folds per-world digests in world-id order. The fold is
+/// order-sensitive, so a swap of two worlds' telemetry cannot cancel out;
+/// a single world folds to its own [`world_digest`].
+fn pod_digest(worlds: &[WorldTelemetry]) -> u64 {
+    worlds
+        .iter()
+        .fold(0, |acc, w| acc.rotate_left(7) ^ world_digest(w))
+}
+
+/// What one engine produced, before the shared fold and report.
+struct EngineRun {
+    worlds: Vec<WorldTelemetry>,
+    io: (u64, u64, u64),
+    sim_seconds: f64,
+    run_wall_seconds: f64,
+    sharding: Option<ShardStats>,
+    prof: Option<ProfSnapshot>,
+    traffic: Option<TrafficSnapshot>,
+    slo: Option<TraceSnapshot>,
+}
+
+/// The classic engine: one [`UStoreSystem`] world, settled before its
+/// telemetry (scraper + Master-side watchdog) starts.
+fn run_classic(seed: u64, cfg: &PodConfig, profile: bool, trace: Option<TracePlan>) -> EngineRun {
     let tracer = match &trace {
         Some(plan) => RequestTracer::on(plan.sample_every, plan.exemplars),
         None => RequestTracer::off(),
     };
-    let sim = ustore_sim::Sim::new(seed);
+    let sim = Sim::new(seed);
     sim.set_reqtracer(tracer.clone());
-    let system = UStoreSystem::build(
-        sim,
-        SystemConfig {
-            units: cfg.units,
-            hosts: cfg.hosts_per_unit,
-            disks: cfg.disks_per_unit,
-            fanin: cfg.fanin,
-            master: MasterConfig {
-                partitions: cfg.partitions.max(1),
-                ..MasterConfig::default()
-            },
-            clientlib: ClientLibConfig {
-                location_lease: cfg.location_lease,
-                ..ClientLibConfig::default()
-            },
-            ..SystemConfig::default()
-        },
-    );
+    let system = UStoreSystem::build(sim, system_config(cfg));
     // Pod-scale runs are about engine throughput; keep the trace buffer to
     // warnings so it measures the system, not the logger.
     system.sim.with_trace(|t| t.set_min_level(TraceLevel::Warn));
@@ -411,8 +453,6 @@ fn run_podscale_opts(
         system.active_master().is_some(),
         "pod bring-up must elect a master"
     );
-
-    // Production telemetry: scraper + Master-side watchdog over every disk.
     let scraper = system.start_telemetry(ScraperConfig {
         interval: cfg.scrape_interval,
         retention: 1024,
@@ -420,164 +460,48 @@ fn run_podscale_opts(
     let _dog = system
         .install_watchdog(&scraper, WatchdogConfig::default())
         .expect("watchdog installs once a master is active");
-
-    // Allocate one space per client, spread across distinct services so
-    // the allocator fans out over units instead of packing one disk, then
-    // run the mixed archival workload for the measured window.
     let clients: Vec<_> = (0..cfg.clients)
         .map(|c| system.client(&format!("archive-{c}")))
         .collect();
-    let (writes_ok, reads_ok, io_errors) = drive_workload(&system.sim, &clients, cfg, |d| {
+    let io = drive_workload(&system.sim, &clients, cfg, |d| {
         system.sim.run_until(system.sim.now() + d);
     });
     let run_wall_seconds = wall0.elapsed().as_secs_f64();
-
-    // Telemetry digest: the full export, fingerprinted. Residency gauges
-    // are published first so the snapshot is complete.
-    for rt in &system.runtimes {
-        rt.publish_residency(&system.sim);
-    }
-    let metrics_json = system.sim.metrics_snapshot().to_json().to_string();
-    let spans_json = system.sim.with_spans(|t| t.to_json()).to_string();
-    let csv = scraper.to_csv();
-    let mut digest = fnv1a(metrics_json.as_bytes());
-    digest ^= fnv1a(spans_json.as_bytes()).rotate_left(1);
-    digest ^= fnv1a(csv.as_bytes()).rotate_left(2);
-
-    let snapshot = system.sim.metrics_snapshot();
-    let peak_queue_depth = snapshot.gauge("sim", "queue_depth_max").unwrap_or(0.0);
-    let events = system.sim.events_processed();
-    let telemetry = Json::obj([
-        ("experiment", Json::str("podscale")),
-        ("seed", Json::u64(seed)),
-        ("units", Json::u64(u64::from(cfg.units))),
-        ("hosts", Json::u64(u64::from(cfg.hosts()))),
-        ("disks", Json::u64(u64::from(cfg.disks()))),
-        ("clients", Json::u64(u64::from(cfg.clients))),
-        ("partitions", Json::u64(u64::from(cfg.partitions.max(1)))),
-        ("sim_seconds", Json::f64(system.sim.now().as_secs_f64())),
-        ("events", Json::u64(events)),
-        ("peak_queue_depth", Json::f64(peak_queue_depth)),
-        ("writes_ok", Json::u64(writes_ok)),
-        ("reads_ok", Json::u64(reads_ok)),
-        ("io_errors", Json::u64(io_errors)),
-        ("telemetry_digest", Json::str(format!("{digest:016x}"))),
-    ]);
-    let report = Report::new(
-        format!(
-            "podscale — {} units, {} hosts, {} disks",
-            cfg.units,
-            cfg.hosts(),
-            cfg.disks()
-        ),
-        vec![
-            Row::measured_only("hosts", f64::from(cfg.hosts()), ""),
-            Row::measured_only("disks", f64::from(cfg.disks()), ""),
-            Row::measured_only("events processed", events as f64, ""),
-            Row::measured_only("peak live queue depth", peak_queue_depth, ""),
-            Row::measured_only("archival writes", writes_ok as f64, ""),
-            Row::measured_only("restore reads", reads_ok as f64, ""),
-            Row::measured_only("io errors", io_errors as f64, ""),
-        ],
-    );
     let sim_seconds = system.sim.now().as_secs_f64();
-    let partition_logs: Vec<(u32, u64)> = system
-        .partition_log_lens()
-        .into_iter()
-        .enumerate()
-        .map(|(k, len)| (k as u32, len))
-        .collect();
+    let world = system.export(Some(&scraper));
     // Break the engine's Rc cycles (pending recurring timers capture the
     // sim and components) so back-to-back harness runs in one process
     // don't accumulate each run's heap.
     system.sim.teardown();
-    PodscaleRun {
-        report,
-        digest,
-        events,
+    EngineRun {
+        worlds: vec![world],
+        io,
         sim_seconds,
-        peak_queue_depth,
+        run_wall_seconds,
         sharding: None,
-        writes_ok,
-        reads_ok,
-        io_errors,
-        telemetry,
         prof: profiler.snapshot(),
         traffic: None,
         slo: tracer.snapshot(),
-        partition_logs,
-        run_wall_seconds,
     }
 }
 
-/// Runs the pod-scale experiment on the sharded parallel engine: the pod
-/// is decomposed into `cfg.world_groups` unit-group worlds plus a control
-/// world and executed by `shards` OS threads through adaptive epoch
-/// windows (the per-pair lookahead matrix encodes the pod's star-shaped
-/// control-plane topology; the network base latency is the minimum
-/// cross-world lookahead).
-///
-/// The workload recipe is [`run_podscale`]'s, driven from the control
-/// world. The telemetry digest combines per-world exports in world-id
-/// order and is bit-identical for every `shards` value — only wall-clock
-/// changes. The Master-side watchdog is not installed (it needs
-/// cross-world disk metrics; the healthy-pod benchmark does not exercise
-/// it), so digests are comparable across shard counts but not with
-/// [`run_podscale`].
-///
-/// # Panics
-///
-/// Panics if bring-up fails, or on a degenerate shape (`shards` 0,
-/// `world_groups` outside `1..=units`).
-pub fn run_podscale_sharded(seed: u64, cfg: &PodConfig, shards: usize) -> PodscaleRun {
-    run_podscale_sharded_opts(seed, cfg, shards, false, None)
-}
-
-/// [`run_podscale_sharded`] with the wall-clock shard profiler and the
-/// cross-world traffic matrix enabled. The simulation is bit-identical to
-/// the unprofiled run (same digest); `prof`, `traffic`, and
-/// `run_wall_seconds` are additionally populated.
-pub fn run_podscale_sharded_profiled(seed: u64, cfg: &PodConfig, shards: usize) -> PodscaleRun {
-    run_podscale_sharded_opts(seed, cfg, shards, true, None)
-}
-
-/// [`run_podscale_sharded`] with the request-lifecycle tracer installed
-/// in every world. The simulation is bit-identical to the untraced run
-/// (same digest); `slo` is additionally populated.
-pub fn run_podscale_sharded_traced(
-    seed: u64,
-    cfg: &PodConfig,
-    shards: usize,
-    plan: TracePlan,
-) -> PodscaleRun {
-    run_podscale_sharded_opts(seed, cfg, shards, false, Some(plan))
-}
-
-fn run_podscale_sharded_opts(
+/// The sharded engine on `shards` threads. The per-pair lookahead matrix
+/// encodes the pod's star-shaped control-plane topology; the network base
+/// latency is the minimum cross-world lookahead. Every world starts its
+/// scraper at the end of bring-up. The Master-side watchdog is not
+/// installed (it needs cross-world disk metrics; the healthy-pod
+/// benchmark does not exercise it).
+fn run_sharded(
     seed: u64,
     cfg: &PodConfig,
     shards: usize,
     profile: bool,
     trace: Option<TracePlan>,
-) -> PodscaleRun {
+) -> EngineRun {
     let mut pod = ShardedPod::build(
         seed,
         &ShardedPodConfig {
-            system: SystemConfig {
-                units: cfg.units,
-                hosts: cfg.hosts_per_unit,
-                disks: cfg.disks_per_unit,
-                fanin: cfg.fanin,
-                master: MasterConfig {
-                    partitions: cfg.partitions.max(1),
-                    ..MasterConfig::default()
-                },
-                clientlib: ClientLibConfig {
-                    location_lease: cfg.location_lease,
-                    ..ClientLibConfig::default()
-                },
-                ..SystemConfig::default()
-            },
+            system: system_config(cfg),
             groups: cfg.world_groups,
             shards,
             clients: (0..cfg.clients).map(|c| format!("archive-{c}")).collect(),
@@ -599,108 +523,143 @@ fn run_podscale_sharded_opts(
         pod.active_master().is_some(),
         "pod bring-up must elect a master"
     );
-
     let sim = pod.sim.clone();
     let clients = pod.clients.clone();
-    let (writes_ok, reads_ok, io_errors) = drive_workload(&sim, &clients, cfg, |d| pod.run_for(d));
+    let io = drive_workload(&sim, &clients, cfg, |d| pod.run_for(d));
     let run_wall_seconds = wall0.elapsed().as_secs_f64();
-    let prof = pod.prof_snapshot();
-    let traffic = pod.traffic_snapshot();
-    let slo = pod.trace_snapshot();
-
-    let sim_seconds = pod.now().as_secs_f64();
-    let epochs = pod.epochs();
-    let sync_rounds = pod.sync_rounds();
-    let cross_messages = pod.cross_messages();
     drop((sim, clients));
+    let (epochs, sync_rounds, cross_messages) =
+        (pod.epochs(), pod.sync_rounds(), pod.cross_messages());
+    let (prof, traffic, slo) = (
+        pod.prof_snapshot(),
+        pod.traffic_snapshot(),
+        pod.trace_snapshot(),
+    );
+    let sim_seconds = pod.now().as_secs_f64();
     let worlds = pod.finalize();
-
-    // Combine per-world digests in world-id order. The per-world digest is
-    // the single-world formula; the fold is order-sensitive so a swap of
-    // two worlds' telemetry cannot cancel out.
-    let mut digest = 0u64;
-    let mut events = 0u64;
-    let mut peak_max = 0f64;
-    let mut peak_sum = 0f64;
-    let mut partition_logs: Vec<(u32, u64)> = Vec::new();
-    for w in &worlds {
-        let mut d = fnv1a(w.metrics_json.as_bytes());
-        d ^= fnv1a(w.spans_json.as_bytes()).rotate_left(1);
-        d ^= fnv1a(w.scrape_csv.as_bytes()).rotate_left(2);
-        digest = digest.rotate_left(7) ^ d;
-        events += w.events;
-        peak_max = peak_max.max(w.peak_queue_depth);
-        peak_sum += w.peak_queue_depth;
-        partition_logs.extend(w.partition_logs.iter().copied());
-    }
-    partition_logs.sort_unstable();
-    let sharding = ShardStats {
+    let sharding = Some(ShardStats {
         shards,
-        groups: cfg.world_groups,
         epochs,
         sync_rounds,
         cross_messages,
-        peak_queue_depth_max: peak_max,
-        peak_queue_depth_sum: peak_sum,
-    };
+        peak_queue_depth_sum: worlds.iter().map(|w| w.peak_queue_depth).sum(),
+    });
+    EngineRun {
+        worlds,
+        io,
+        sim_seconds,
+        run_wall_seconds,
+        sharding,
+        prof,
+        traffic,
+        slo,
+    }
+}
 
-    let telemetry = Json::obj([
-        ("experiment", Json::str("podscale_sharded")),
+/// Runs the pod-scale experiment once: bring-up, one space per client,
+/// then the mixed archival workload for the measured window, on the
+/// engine `opts` selects. The digest folds every world's export in
+/// world-id order; two same-seed runs produce the same
+/// digest, and neither `profile` nor `trace` changes it.
+///
+/// # Panics
+///
+/// Panics if bring-up fails (no active master, allocations not served) —
+/// a pod that cannot bring up is a broken system, not a measurement — or
+/// on a degenerate sharded shape (`shards` 0, `world_groups` outside
+/// `1..=units`).
+pub fn run_podscale(seed: u64, cfg: &PodConfig, opts: RunOpts) -> PodscaleRun {
+    let run = match opts.shards {
+        None => run_classic(seed, cfg, opts.profile, opts.trace),
+        Some(shards) => run_sharded(seed, cfg, shards, opts.profile, opts.trace),
+    };
+    let digest = pod_digest(&run.worlds);
+    let events: u64 = run.worlds.iter().map(|w| w.events).sum();
+    let peak_max = run
+        .worlds
+        .iter()
+        .map(|w| w.peak_queue_depth)
+        .fold(0.0, f64::max);
+    let mut partition_logs: Vec<(u32, u64)> = run
+        .worlds
+        .iter()
+        .flat_map(|w| w.partition_logs.iter().copied())
+        .collect();
+    partition_logs.sort_unstable();
+    let (writes_ok, reads_ok, io_errors) = run.io;
+
+    let mut fields = vec![
+        ("experiment", Json::str("podscale")),
         ("seed", Json::u64(seed)),
         ("units", Json::u64(u64::from(cfg.units))),
         ("hosts", Json::u64(u64::from(cfg.hosts()))),
         ("disks", Json::u64(u64::from(cfg.disks()))),
         ("clients", Json::u64(u64::from(cfg.clients))),
-        ("world_groups", Json::u64(u64::from(cfg.world_groups))),
         ("partitions", Json::u64(u64::from(cfg.partitions.max(1)))),
-        ("shards", Json::u64(shards as u64)),
-        ("epochs", Json::u64(epochs)),
-        ("sync_rounds", Json::u64(sync_rounds)),
-        ("cross_messages", Json::u64(cross_messages)),
-        ("sim_seconds", Json::f64(sim_seconds)),
+    ];
+    let mut rows = vec![
+        Row::measured_only("hosts", f64::from(cfg.hosts()), ""),
+        Row::measured_only("disks", f64::from(cfg.disks()), ""),
+        Row::measured_only("events processed", events as f64, ""),
+    ];
+    let mut title = format!(
+        "podscale — {} units, {} hosts, {} disks",
+        cfg.units,
+        cfg.hosts(),
+        cfg.disks()
+    );
+    if let Some(s) = &run.sharding {
+        title += &format!(" in {} worlds on {} threads", cfg.world_groups, s.shards);
+        fields.extend([
+            ("world_groups", Json::u64(u64::from(cfg.world_groups))),
+            ("shards", Json::u64(s.shards as u64)),
+            ("epochs", Json::u64(s.epochs)),
+            ("sync_rounds", Json::u64(s.sync_rounds)),
+            ("cross_messages", Json::u64(s.cross_messages)),
+            ("peak_queue_depth_sum", Json::f64(s.peak_queue_depth_sum)),
+        ]);
+        rows.extend([
+            Row::measured_only("epoch windows", s.epochs as f64, ""),
+            Row::measured_only("sync rounds", s.sync_rounds as f64, ""),
+            Row::measured_only("cross-world messages", s.cross_messages as f64, ""),
+            Row::measured_only(
+                "peak queue depth (whole-sim sum)",
+                s.peak_queue_depth_sum,
+                "",
+            ),
+        ]);
+    }
+    fields.extend([
+        ("sim_seconds", Json::f64(run.sim_seconds)),
         ("events", Json::u64(events)),
-        ("peak_queue_depth_max", Json::f64(peak_max)),
-        ("peak_queue_depth_sum", Json::f64(peak_sum)),
+        ("peak_queue_depth", Json::f64(peak_max)),
         ("writes_ok", Json::u64(writes_ok)),
         ("reads_ok", Json::u64(reads_ok)),
         ("io_errors", Json::u64(io_errors)),
         ("telemetry_digest", Json::str(format!("{digest:016x}"))),
     ]);
-    let report = Report::new(
-        format!(
-            "podscale (sharded) — {} units in {} worlds on {} threads",
-            cfg.units, cfg.world_groups, shards
-        ),
-        vec![
-            Row::measured_only("hosts", f64::from(cfg.hosts()), ""),
-            Row::measured_only("disks", f64::from(cfg.disks()), ""),
-            Row::measured_only("events processed", events as f64, ""),
-            Row::measured_only("epoch windows", epochs as f64, ""),
-            Row::measured_only("sync rounds", sync_rounds as f64, ""),
-            Row::measured_only("cross-world messages", cross_messages as f64, ""),
-            Row::measured_only("peak queue depth (per-shard max)", peak_max, ""),
-            Row::measured_only("peak queue depth (whole-sim sum)", peak_sum, ""),
-            Row::measured_only("archival writes", writes_ok as f64, ""),
-            Row::measured_only("restore reads", reads_ok as f64, ""),
-            Row::measured_only("io errors", io_errors as f64, ""),
-        ],
-    );
+    rows.extend([
+        Row::measured_only("peak live queue depth (deepest world)", peak_max, ""),
+        Row::measured_only("archival writes", writes_ok as f64, ""),
+        Row::measured_only("restore reads", reads_ok as f64, ""),
+        Row::measured_only("io errors", io_errors as f64, ""),
+    ]);
     PodscaleRun {
-        report,
+        report: Report::new(title, rows),
         digest,
         events,
-        sim_seconds,
+        sim_seconds: run.sim_seconds,
         peak_queue_depth: peak_max,
-        sharding: Some(sharding),
+        sharding: run.sharding,
         writes_ok,
         reads_ok,
         io_errors,
-        telemetry,
-        prof,
-        traffic,
-        slo,
+        telemetry: Json::obj(fields),
+        prof: run.prof,
+        traffic: run.traffic,
+        slo: run.slo,
         partition_logs,
-        run_wall_seconds,
+        run_wall_seconds: run.run_wall_seconds,
     }
 }
 
@@ -710,7 +669,7 @@ mod tests {
 
     #[test]
     fn tiny_pod_brings_up_and_serves_io() {
-        let run = run_podscale(901, &PodConfig::tiny());
+        let run = run_podscale(901, &PodConfig::tiny(), RunOpts::default());
         assert!(run.writes_ok > 0, "archival writes completed");
         assert!(run.reads_ok > 0, "restore reads completed");
         assert_eq!(run.io_errors, 0, "healthy pod serves all IO");
@@ -720,25 +679,22 @@ mod tests {
     #[test]
     fn sharded_tiny_pod_serves_io_and_reports_shard_stats() {
         let cfg = PodConfig::tiny();
-        let run = run_podscale_sharded(904, &cfg, 2);
+        let run = run_podscale(904, &cfg, RunOpts::sharded(2));
         assert!(run.writes_ok > 0, "archival writes completed");
         assert!(run.reads_ok > 0, "restore reads completed");
         assert_eq!(run.io_errors, 0, "healthy pod serves all IO");
         let s = run.sharding.expect("sharded run carries shard stats");
         assert_eq!(s.shards, 2);
-        assert_eq!(s.groups, cfg.world_groups);
         assert!(s.epochs > 0, "coordinator ran epoch windows");
         assert!(s.sync_rounds > 0, "windows executed sync rounds");
         assert!(s.cross_messages > 0, "workload crossed world boundaries");
-        assert!(s.peak_queue_depth_sum >= s.peak_queue_depth_max);
+        assert!(s.peak_queue_depth_sum >= run.peak_queue_depth);
     }
 
     #[test]
     fn traced_tiny_pod_attributes_ttfb() {
-        if !RequestTracer::compiled_in() {
-            return;
-        }
-        let run = run_podscale_traced(905, &PodConfig::tiny(), TracePlan::default());
+        let opts = RunOpts::default().traced(TracePlan::default());
+        let run = run_podscale(905, &PodConfig::tiny(), opts);
         let slo = run.slo.expect("traced run snapshots");
         assert!(slo.seen > 0, "workload completed under trace");
         assert!(slo.worst().is_some(), "slowest exemplar retained");
@@ -754,7 +710,7 @@ mod tests {
     fn partitioned_leased_tiny_pod_serves_io() {
         let cfg = PodConfig::tiny().partitioned();
         assert_eq!(cfg.partitions, cfg.world_groups);
-        let run = run_podscale_sharded(906, &cfg, 2);
+        let run = run_podscale(906, &cfg, RunOpts::sharded(2));
         assert!(run.writes_ok > 0, "archival writes completed");
         assert!(run.reads_ok > 0, "restore reads completed");
         assert_eq!(run.io_errors, 0, "healthy pod serves all IO and lookups");
@@ -773,11 +729,11 @@ mod tests {
     #[test]
     fn same_seed_runs_share_a_digest() {
         let cfg = PodConfig::tiny();
-        let a = run_podscale(902, &cfg);
-        let b = run_podscale(902, &cfg);
+        let a = run_podscale(902, &cfg, RunOpts::default());
+        let b = run_podscale(902, &cfg, RunOpts::default());
         assert_eq!(a.digest, b.digest, "telemetry digest is deterministic");
         assert_eq!(a.events, b.events);
-        let c = run_podscale(903, &cfg);
+        let c = run_podscale(903, &cfg, RunOpts::default());
         assert_ne!(a.digest, c.digest, "different seed, different telemetry");
     }
 }

@@ -25,9 +25,7 @@
 use ustore::TracePlan;
 use ustore_sim::{export, Json, SpanTracer, Stage, TraceRecord, TraceSnapshot};
 
-use crate::podscale::{
-    run_podscale_sharded, run_podscale_sharded_traced, run_podscale_traced, PodConfig, PodscaleRun,
-};
+use crate::podscale::{run_podscale, PodConfig, PodscaleRun, RunOpts};
 
 /// The quantiles every SLO table reports, with display labels.
 pub const SLO_QUANTILES: [(&str, f64); 3] = [("p50", 0.5), ("p99", 0.99), ("p99.9", 0.999)];
@@ -71,7 +69,7 @@ pub struct SloRun {
     /// proof that tracing is a pure observability side channel.
     pub digest_matches_untraced: bool,
     /// Minimum coverage over kinds and reported quantiles on the sharded
-    /// snapshot. `None` when the build has no tracer (`--no-default-features`).
+    /// snapshot. `None` when no request completed.
     pub min_coverage: Option<f64>,
     /// The partitioned + leased pod shape (the same pod with one metadata
     /// partition per unit-group world and client location leases).
@@ -84,7 +82,7 @@ pub struct SloRun {
     /// Tracer-purity gate for the partitioned + leased configuration.
     pub leased_digest_matches: bool,
     /// Fraction of location-lease consultations the leased run served
-    /// from cache. `None` when the build has no tracer.
+    /// from cache. `None` when no lease was consulted.
     pub lease_hit_rate: Option<f64>,
 }
 
@@ -100,16 +98,18 @@ pub fn run_slo(opts: &SloOptions) -> SloRun {
         sample_every: opts.sample_every,
         exemplars: opts.exemplars,
     };
-    let sharded = run_podscale_sharded_traced(opts.seed, &pod, opts.shards, plan.clone());
-    let untraced = run_podscale_sharded(opts.seed, &pod, opts.shards);
-    let classic = run_podscale_traced(opts.seed, &pod, plan.clone());
+    let plain = RunOpts::sharded(opts.shards);
+    let traced = plain.clone().traced(plan.clone());
+    let sharded = run_podscale(opts.seed, &pod, traced.clone());
+    let untraced = run_podscale(opts.seed, &pod, plain.clone());
+    let classic = run_podscale(opts.seed, &pod, RunOpts::default().traced(plan));
     // The same pod with the control plane scaled out: per-world metadata
     // partitions plus client location leases. Traced for the before/after
     // master_lookup comparison, untraced for its own purity gate (leased
     // digests are a different scenario, so they get their own pair).
     let leased_pod = pod.clone().partitioned();
-    let leased = run_podscale_sharded_traced(opts.seed, &leased_pod, opts.shards, plan);
-    let leased_untraced = run_podscale_sharded(opts.seed, &leased_pod, opts.shards);
+    let leased = run_podscale(opts.seed, &leased_pod, traced);
+    let leased_untraced = run_podscale(opts.seed, &leased_pod, plain);
     let min_coverage = sharded.slo.as_ref().and_then(|s| {
         SLO_QUANTILES
             .iter()
@@ -537,7 +537,6 @@ fn worst_exemplar_timeline(w: &TraceRecord) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ustore_sim::RequestTracer;
 
     #[test]
     fn quick_slo_covers_ttfb_and_keeps_digest() {
@@ -567,11 +566,6 @@ mod tests {
             "every metadata partition applied log entries: {:?}",
             run.leased.partition_logs
         );
-        if !RequestTracer::compiled_in() {
-            assert!(run.sharded.slo.is_none());
-            assert!(run.lease_hit_rate.is_none());
-            return;
-        }
         assert!(
             run.lease_hit_rate.expect("leases consulted") > 0.0,
             "steady-state directory refreshes must hit the lease cache"

@@ -54,6 +54,7 @@ pub mod meta;
 pub mod sharded;
 pub mod system;
 pub mod watchdog;
+mod world;
 
 pub use alloc::{AllocError, Allocation, Allocator, Extent};
 pub use clientlib::{ClientLibConfig, ClientLibError, Mounted, UStoreClient};

@@ -18,13 +18,13 @@
 
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ustore_consensus::{CoordConfig, CoordGroup, CoordServer};
-use ustore_fabric::{FabricRuntime, Topology};
-use ustore_net::{Addr, Envelope, Network, RpcNode};
+use ustore_fabric::Topology;
+use ustore_net::{Addr, Envelope, Network};
 use ustore_sim::{
     FastMap, LookaheadMatrix, ProfSnapshot, Profiler, RequestTracer, Routed, Scraper,
     ScraperConfig, ShardCoordinator, ShardWorld, Sim, SimTime, TraceLevel, TraceSnapshot,
@@ -32,11 +32,11 @@ use ustore_sim::{
 };
 
 use crate::clientlib::UStoreClient;
-use crate::controller::Controller;
-use crate::endpoint::Endpoint;
 use crate::ids::UnitId;
 use crate::master::Master;
-use crate::system::{coord_addr, master_addr, unit_conf_for, unit_host_addr, SystemConfig};
+use crate::system::{coord_addr, master_addr, unit_host_addr, SystemConfig};
+pub use crate::world::WorldTelemetry;
+use crate::world::{build_world, export_world, start_scraper, Hosted, World};
 
 /// When (and how) each world starts its telemetry pipeline. Scheduled at
 /// an absolute instant so every world samples on the same clock.
@@ -98,38 +98,10 @@ pub struct ShardedPodConfig {
     pub trace: Option<TracePlan>,
 }
 
-/// Telemetry and engine statistics of one finalized world.
-#[derive(Debug, Clone)]
-pub struct WorldTelemetry {
-    /// World id (0 = control world).
-    pub world: usize,
-    /// Metrics registry snapshot as stable JSON.
-    pub metrics_json: String,
-    /// Span log as stable JSON.
-    pub spans_json: String,
-    /// Scraped time-series CSV (empty without a [`TelemetryPlan`]).
-    pub scrape_csv: String,
-    /// Events this world's engine processed.
-    pub events: u64,
-    /// Peak live event-queue depth of this world's engine.
-    pub peak_queue_depth: f64,
-    /// Replicated-log lengths of the metadata partitions hosted by this
-    /// world, as `(partition, applied length)` pairs (partition 0 = the
-    /// base cluster). Empty for worlds hosting no coordination replicas.
-    pub partition_logs: Vec<(u32, u64)>,
-}
-
 /// One world of the sharded pod.
 pub struct PodWorld {
     id: usize,
-    sim: Sim,
-    net: Network,
-    runtimes: Vec<FabricRuntime>,
-    endpoints: Vec<Endpoint>,
-    controllers: Vec<Rc<Controller>>,
-    coord: Vec<CoordServer>,
-    coord_groups: Vec<CoordGroup>,
-    masters: Vec<Master>,
+    world: World,
     scraper: Rc<RefCell<Option<Scraper>>>,
 }
 
@@ -137,8 +109,8 @@ impl fmt::Debug for PodWorld {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PodWorld")
             .field("id", &self.id)
-            .field("units", &self.runtimes.len())
-            .field("endpoints", &self.endpoints.len())
+            .field("units", &self.world.runtimes.len())
+            .field("endpoints", &self.world.endpoints.len())
             .finish()
     }
 }
@@ -147,60 +119,35 @@ impl ShardWorld for PodWorld {
     type Msg = Envelope;
 
     fn sim(&self) -> &Sim {
-        &self.sim
+        &self.world.sim
     }
 
     fn drain_outbox_into(&mut self, out: &mut Vec<Routed<Envelope>>) {
-        self.net.drain_outbox_into(out);
+        self.world.net.drain_outbox_into(out);
     }
 
     fn deliver(&mut self, batch: &mut Vec<Routed<Envelope>>) {
         for r in batch.drain(..) {
             debug_assert_eq!(r.dst_world, self.id, "misrouted envelope");
-            self.net.deliver_remote(&self.sim, r);
+            self.world.net.deliver_remote(&self.world.sim, r);
         }
     }
 
     fn finalize(self: Box<Self>) -> Box<dyn std::any::Any + Send> {
-        // Residency gauges are published right before the snapshot so the
-        // export is complete, mirroring the single-world harness.
-        for rt in &self.runtimes {
-            rt.publish_residency(&self.sim);
-        }
-        let _ = (
-            &self.endpoints,
-            &self.controllers,
-            &self.coord,
-            &self.masters,
+        let w = &self.world;
+        let telemetry = export_world(
+            self.id,
+            &w.sim,
+            &w.runtimes,
+            &w.coord,
+            &w.coord_groups,
+            self.scraper.borrow().as_ref(),
         );
-        let mut partition_logs: Vec<(u32, u64)> = Vec::new();
-        if let Some(base) = self.coord.iter().map(|s| s.applied_len()).max() {
-            partition_logs.push((0, base));
-        }
-        partition_logs.extend(self.coord_groups.iter().map(|g| (g.group(), g.log_len())));
-        let telemetry = Box::new(WorldTelemetry {
-            world: self.id,
-            metrics_json: self.sim.metrics_snapshot().to_json().to_string(),
-            spans_json: self.sim.with_spans(|t| t.to_json()).to_string(),
-            scrape_csv: self
-                .scraper
-                .borrow()
-                .as_ref()
-                .map(|s| s.to_csv())
-                .unwrap_or_default(),
-            events: self.sim.events_processed(),
-            peak_queue_depth: self
-                .sim
-                .metrics_snapshot()
-                .gauge("sim", "queue_depth_max")
-                .unwrap_or(0.0),
-            partition_logs,
-        });
         // Break the engine's Rc cycles (pending recurring timers capture
         // the sim and components) so harnesses running many sharded pods
         // in one process don't accumulate every world's heap.
-        self.sim.teardown();
-        telemetry
+        w.sim.teardown();
+        Box::new(telemetry)
     }
 }
 
@@ -227,6 +174,17 @@ pub fn world_of_unit(unit: u32, units: u32, groups: u32) -> usize {
     1 + (unit / units_per_group(units, groups)) as usize
 }
 
+/// The units world `world` hosts (empty for the control world): the
+/// inverse of [`world_of_unit`].
+fn unit_range(world: usize, units: u32, groups: u32) -> Range<u32> {
+    if world == 0 {
+        return 0..0;
+    }
+    let per = units_per_group(units, groups);
+    let g = world as u32 - 1;
+    g * per..((g + 1) * per).min(units)
+}
+
 /// The world metadata partition `partition`'s replica group is placed in:
 /// the unit-group world owning every unit of the partition when the
 /// partition map aligns with the world decomposition (metadata co-located
@@ -250,222 +208,123 @@ pub fn partition_world(partition: u32, partitions: u32, units: u32, groups: u32)
     }
 }
 
-/// Builds the static address → world placement map shared by all worlds.
+/// What world `id` hosts: world 0 the control plane, worlds `1..=groups`
+/// a contiguous unit range each, and every world the metadata-partition
+/// groups [`partition_world`] places in it.
+fn hosted(cfg: &ShardedPodConfig, id: usize) -> Hosted {
+    let sys = &cfg.system;
+    let partitions = sys.master.partitions.max(1);
+    Hosted {
+        control: id == 0,
+        partitions: (1..partitions)
+            .filter(|&k| partition_world(k, partitions, sys.units, cfg.groups) == id)
+            .collect(),
+        units: unit_range(id, sys.units, cfg.groups),
+    }
+}
+
+/// Builds the static address → world placement map shared by all worlds:
+/// every address lives in the world that [`hosted`] puts its component in,
+/// and the clients live in the control world.
 fn build_placement(cfg: &ShardedPodConfig) -> Arc<FastMap<Addr, usize>> {
     let sys = &cfg.system;
-    let mut placement: FastMap<Addr, usize> = FastMap::default();
-    for i in 0..sys.coord_nodes {
-        placement.insert(coord_addr(i), 0);
-    }
-    for i in 0..sys.masters {
-        let m = master_addr(i);
-        placement.insert(Addr::new(format!("{m}-zk")), 0);
-        placement.insert(m, 0);
-    }
-    // Metadata partitions: each partition's replica group lives in the
-    // unit-group world owning its units (or world 0 when the maps don't
-    // align); the masters' per-partition client sockets stay in world 0.
     let partitions = sys.master.partitions.max(1);
-    for k in 1..partitions {
-        let world = partition_world(k, partitions, sys.units, cfg.groups);
-        for i in 0..sys.coord_nodes {
-            placement.insert(Addr::new(format!("p{k}-{}", coord_addr(i))), world);
-        }
-        for m in 0..sys.masters {
-            placement.insert(Addr::new(format!("{}-zk-p{k}", master_addr(m))), 0);
-        }
-    }
-    for name in &cfg.clients {
-        placement.insert(Addr::new(name.as_str()), 0);
-    }
     let (topology, _) = Topology::upper_switched(sys.hosts, sys.disks, sys.fanin);
-    let host_ids: Vec<_> = topology.hosts().collect();
-    for u in 0..sys.units {
-        let world = world_of_unit(u, sys.units, cfg.groups);
-        for &h in &host_ids {
-            placement.insert(unit_host_addr(UnitId(u), h), world);
+    let mut placement: FastMap<Addr, usize> = FastMap::default();
+    for world in 0..=cfg.groups as usize {
+        let hosted = hosted(cfg, world);
+        if hosted.control {
+            for i in 0..sys.coord_nodes {
+                placement.insert(coord_addr(i), world);
+            }
+            // Each Master's coordination sessions, per-partition ones
+            // included, stay with the Master.
+            for m in (0..sys.masters).map(master_addr) {
+                placement.insert(Addr::new(format!("{m}-zk")), world);
+                for k in 1..partitions {
+                    placement.insert(Addr::new(format!("{m}-zk-p{k}")), world);
+                }
+                placement.insert(m, world);
+            }
+            for name in &cfg.clients {
+                placement.insert(Addr::new(name.as_str()), world);
+            }
+        }
+        for k in hosted.partitions {
+            for i in 0..sys.coord_nodes {
+                placement.insert(Addr::new(format!("p{k}-{}", coord_addr(i))), world);
+            }
+        }
+        for u in hosted.units {
+            for h in topology.hosts() {
+                placement.insert(unit_host_addr(UnitId(u), h), world);
+            }
         }
     }
     Arc::new(placement)
 }
 
-/// Starts the per-world telemetry pipeline at `plan.start`: a gauge
-/// publisher (disk residency + network counters) registered *before* the
-/// scraper at the same cadence, exactly like the single-world harness.
-fn install_telemetry(
-    sim: &Sim,
-    net: &Network,
-    runtimes: &[FabricRuntime],
-    plan: Option<TelemetryPlan>,
-) -> Rc<RefCell<Option<Scraper>>> {
+/// Schedules the world's telemetry pipeline ([`start_scraper`]) to start
+/// at `plan.start`, so every world samples on the same clock. The slot
+/// holds the scraper once it has started.
+fn install_telemetry(world: &World, plan: Option<TelemetryPlan>) -> Rc<RefCell<Option<Scraper>>> {
     let slot: Rc<RefCell<Option<Scraper>>> = Rc::new(RefCell::new(None));
     let Some(plan) = plan else { return slot };
-    let runtimes = runtimes.to_vec();
-    let net = net.clone();
+    let runtimes = world.runtimes.clone();
+    let net = world.net.clone();
     let slot2 = slot.clone();
-    sim.schedule_at(plan.start, move |sim| {
-        let interval = plan.scraper.interval;
-        sim.every(interval, interval, move |sim| {
-            for rt in &runtimes {
-                rt.publish_residency(sim);
-            }
-            net.publish_metrics(sim);
-        });
-        *slot2.borrow_mut() = Some(Scraper::start(sim, plan.scraper.clone()));
+    world.sim.schedule_at(plan.start, move |sim| {
+        *slot2.borrow_mut() = Some(start_scraper(sim, &net, &runtimes, plan.scraper));
     });
     slot
 }
 
-/// Builds the control world: coordination cluster, Masters and clients.
-fn build_control_world(
+/// Everything world construction needs besides the world id. Cloned into
+/// the worker threads that build their own worlds.
+#[derive(Clone)]
+struct WorldCtx {
     seed: u64,
-    cfg: &ShardedPodConfig,
+    cfg: ShardedPodConfig,
     placement: Arc<FastMap<Addr, usize>>,
     lookahead: Arc<LookaheadMatrix>,
     traffic: Option<Arc<TrafficMatrix>>,
     tracer: RequestTracer,
-) -> (PodWorld, Vec<UStoreClient>) {
-    let sys = &cfg.system;
-    let sim = Sim::new(world_seed(seed, 0));
-    sim.with_trace(|t| t.set_min_level(cfg.trace_level));
-    sim.set_reqtracer(tracer);
-    let net = Network::new(sys.net.clone());
-    net.enable_shard_routing_with_lookahead(0, placement, lookahead);
-    if let Some(m) = traffic {
-        net.set_traffic_matrix(m);
-    }
-    let net2 = net.clone();
-    sim.on_teardown(move || net2.teardown());
-
-    let coord_addrs: Vec<Addr> = (0..sys.coord_nodes).map(coord_addr).collect();
-    let coord: Vec<CoordServer> = (0..sys.coord_nodes)
-        .map(|i| CoordServer::new(&sim, &net, i, coord_addrs.clone(), CoordConfig::default()))
-        .collect();
-    // Metadata-partition replica groups whose placement falls back to the
-    // control world (misaligned partition/world maps).
-    let partitions = sys.master.partitions.max(1);
-    let coord_groups: Vec<CoordGroup> = (1..partitions)
-        .filter(|&k| partition_world(k, partitions, sys.units, cfg.groups) == 0)
-        .map(|k| CoordGroup::new(&sim, &net, k, &coord_addrs, CoordConfig::default()))
-        .collect();
-    let unit_confs: Vec<_> = (0..sys.units)
-        .map(|u| unit_conf_for(UnitId(u), sys))
-        .collect();
-    let master_addrs: Vec<Addr> = (0..sys.masters).map(master_addr).collect();
-    let masters: Vec<Master> = master_addrs
-        .iter()
-        .map(|a| {
-            Master::new(
-                &sim,
-                &net,
-                a.clone(),
-                coord_addrs.clone(),
-                unit_confs.clone(),
-                sys.master.clone(),
-            )
-        })
-        .collect();
-    let clients: Vec<UStoreClient> = cfg
-        .clients
-        .iter()
-        .map(|name| {
-            UStoreClient::new(
-                &net,
-                Addr::new(name.as_str()),
-                master_addrs.clone(),
-                sys.clientlib.clone(),
-            )
-        })
-        .collect();
-    let scraper = install_telemetry(&sim, &net, &[], cfg.telemetry.clone());
-    (
-        PodWorld {
-            id: 0,
-            sim,
-            net,
-            runtimes: Vec::new(),
-            endpoints: Vec::new(),
-            controllers: Vec::new(),
-            coord,
-            coord_groups,
-            masters,
-            scraper,
-        },
-        clients,
-    )
 }
 
-/// Builds unit-group world `id` hosting units `lo..hi`.
-#[allow(clippy::too_many_arguments)]
-fn build_unit_world(
-    id: usize,
-    seed: u64,
-    sys: &SystemConfig,
-    groups: u32,
-    lo: u32,
-    hi: u32,
-    placement: Arc<FastMap<Addr, usize>>,
-    lookahead: Arc<LookaheadMatrix>,
-    telemetry: Option<TelemetryPlan>,
-    trace_level: TraceLevel,
-    traffic: Option<Arc<TrafficMatrix>>,
-    tracer: RequestTracer,
-) -> PodWorld {
-    let sim = Sim::new(world_seed(seed, id));
-    sim.with_trace(|t| t.set_min_level(trace_level));
-    sim.set_reqtracer(tracer);
-    let net = Network::new(sys.net.clone());
-    net.enable_shard_routing_with_lookahead(id, placement, lookahead);
-    if let Some(m) = traffic {
-        net.set_traffic_matrix(m);
-    }
-    let net2 = net.clone();
-    sim.on_teardown(move || net2.teardown());
-    // Metadata-partition replica groups co-located with this world's
-    // units: the partition's log lives next to the data it describes.
-    let partitions = sys.master.partitions.max(1);
-    let coord_addrs: Vec<Addr> = (0..sys.coord_nodes).map(coord_addr).collect();
-    let coord_groups: Vec<CoordGroup> = (1..partitions)
-        .filter(|&k| partition_world(k, partitions, sys.units, groups) == id)
-        .map(|k| CoordGroup::new(&sim, &net, k, &coord_addrs, CoordConfig::default()))
-        .collect();
-    let master_addrs: Vec<Addr> = (0..sys.masters).map(master_addr).collect();
-    let mut runtimes = Vec::new();
-    let mut endpoints = Vec::new();
-    let mut controllers = Vec::new();
-    for u in lo..hi {
-        let unit = UnitId(u);
-        let (topology, switch_config) = Topology::upper_switched(sys.hosts, sys.disks, sys.fanin);
-        let runtime = FabricRuntime::new(&sim, topology, switch_config, sys.runtime.clone());
-        for h in runtime.host_ids() {
-            let rpc = RpcNode::new(&net, unit_host_addr(unit, h));
-            if h.0 < 2 {
-                controllers.push(Controller::new(unit, rpc.clone(), runtime.clone()));
-            }
-            endpoints.push(Endpoint::new(
-                &sim,
-                unit,
-                h,
-                rpc,
-                runtime.clone(),
-                master_addrs.clone(),
-                sys.endpoint.clone(),
-            ));
+impl WorldCtx {
+    /// Builds world `id` on its own RNG stream and shard-routed network.
+    /// The control world also creates the clients (before its telemetry
+    /// starts, like every other component).
+    fn build(&self, id: usize) -> (PodWorld, Vec<UStoreClient>) {
+        let sys = &self.cfg.system;
+        let sim = Sim::new(world_seed(self.seed, id));
+        sim.with_trace(|t| t.set_min_level(self.cfg.trace_level));
+        sim.set_reqtracer(self.tracer.clone());
+        let net = Network::new(sys.net.clone());
+        net.enable_shard_routing_with_lookahead(id, self.placement.clone(), self.lookahead.clone());
+        if let Some(m) = &self.traffic {
+            net.set_traffic_matrix(m.clone());
         }
-        runtimes.push(runtime);
-    }
-    let scraper = install_telemetry(&sim, &net, &runtimes, telemetry);
-    PodWorld {
-        id,
-        sim,
-        net,
-        runtimes,
-        endpoints,
-        controllers,
-        coord: Vec::new(),
-        coord_groups,
-        masters: Vec::new(),
-        scraper,
+        let world = build_world(sim, net, sys, &hosted(&self.cfg, id));
+        let clients: Vec<UStoreClient> = if id == 0 {
+            let master_addrs: Vec<Addr> = (0..sys.masters).map(master_addr).collect();
+            self.cfg
+                .clients
+                .iter()
+                .map(|name| {
+                    UStoreClient::new(
+                        &world.net,
+                        Addr::new(name.as_str()),
+                        master_addrs.clone(),
+                        sys.clientlib.clone(),
+                    )
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let scraper = install_telemetry(&world, self.cfg.telemetry.clone());
+        (PodWorld { id, world, scraper }, clients)
     }
 }
 
@@ -553,12 +412,11 @@ impl ShardedPod {
             if w == 0 || partitions == 1 {
                 return None;
             }
-            let per = units_per_group(units, groups);
-            let lo = (w as u32 - 1) * per;
-            let hi = ((w as u32) * per).min(units);
+            let range = unit_range(w, units, groups);
             let router = crate::meta::MetaRouter::new(partitions, units);
-            let p = router.partition_of_unit(UnitId(lo));
-            (lo..hi)
+            let p = router.partition_of_unit(UnitId(range.start));
+            range
+                .into_iter()
                 .all(|u| router.partition_of_unit(UnitId(u)) == p)
                 .then_some(p)
         };
@@ -575,72 +433,36 @@ impl ShardedPod {
                 )
             },
         ));
-        let (control, clients) = build_control_world(
+        let ctx = WorldCtx {
             seed,
-            cfg,
-            placement.clone(),
-            matrix.clone(),
-            traffic.clone(),
-            tracer.clone(),
-        );
-        let sim = control.sim.clone();
-        let net = control.net.clone();
-        let masters = control.masters.clone();
+            cfg: cfg.clone(),
+            placement,
+            lookahead: matrix.clone(),
+            traffic: traffic.clone(),
+            tracer: tracer.clone(),
+        };
+        let (control, clients) = ctx.build(0);
+        let sim = control.world.sim.clone();
+        let net = control.world.net.clone();
+        let masters = control.world.masters.clone();
 
+        // Unit-group worlds are dealt round-robin over the shards: those
+        // landing on shard 0 are built here, the rest on their worker
+        // threads.
         let mut local: Vec<(usize, Box<dyn ShardWorld<Msg = Envelope>>)> =
             vec![(0, Box::new(control))];
         let mut remote: Vec<Vec<(usize, WorldBuilder<Envelope>)>> =
             (1..cfg.shards).map(|_| Vec::new()).collect();
-        let per = units_per_group(sys.units, cfg.groups);
-        for g in 0..cfg.groups {
-            let id = 1 + g as usize;
-            let lo = g * per;
-            let hi = ((g + 1) * per).min(sys.units);
-            let shard = (g as usize) % cfg.shards;
+        for id in 1..world_count {
+            let shard = (id - 1) % cfg.shards;
             if shard == 0 {
-                local.push((
-                    id,
-                    Box::new(build_unit_world(
-                        id,
-                        seed,
-                        sys,
-                        cfg.groups,
-                        lo,
-                        hi,
-                        placement.clone(),
-                        matrix.clone(),
-                        cfg.telemetry.clone(),
-                        cfg.trace_level,
-                        traffic.clone(),
-                        tracer.clone(),
-                    )),
-                ));
+                local.push((id, Box::new(ctx.build(id).0)));
             } else {
-                let sys = sys.clone();
-                let groups = cfg.groups;
-                let placement = placement.clone();
-                let matrix = matrix.clone();
-                let telemetry = cfg.telemetry.clone();
-                let trace_level = cfg.trace_level;
-                let traffic = traffic.clone();
-                let tracer = tracer.clone();
+                let ctx = ctx.clone();
                 remote[shard - 1].push((
                     id,
                     Box::new(move || {
-                        Box::new(build_unit_world(
-                            id,
-                            seed,
-                            &sys,
-                            groups,
-                            lo,
-                            hi,
-                            placement,
-                            matrix,
-                            telemetry,
-                            trace_level,
-                            traffic,
-                            tracer,
-                        )) as Box<dyn ShardWorld<Msg = Envelope>>
+                        Box::new(ctx.build(id).0) as Box<dyn ShardWorld<Msg = Envelope>>
                     }) as WorldBuilder<Envelope>,
                 ));
             }
@@ -696,8 +518,8 @@ impl ShardedPod {
     }
 
     /// Wall-clock profiler snapshot (phase slabs, epoch statistics,
-    /// thread tracks). `None` unless built with `profile: true` (or the
-    /// crate was compiled without `wallprof`). Take it after the last
+    /// thread tracks). `None` unless built with `profile: true`. Take it
+    /// after the last
     /// `run_until` so no worker is mid-epoch.
     pub fn prof_snapshot(&self) -> Option<ProfSnapshot> {
         self.profiler.snapshot()
@@ -711,9 +533,8 @@ impl ShardedPod {
 
     /// Request-lifecycle trace snapshot (per-stage TTFB attribution,
     /// sampled traces, slowest exemplars). `None` unless built with
-    /// `trace: Some(..)` (or the crate was compiled without `reqtrace`).
-    /// Take it after the last `run_until` so no request is mid-flight on
-    /// a worker.
+    /// `trace: Some(..)`. Take it after the last `run_until` so no request
+    /// is mid-flight on a worker.
     pub fn trace_snapshot(&self) -> Option<TraceSnapshot> {
         self.tracer.snapshot()
     }
@@ -742,6 +563,8 @@ mod tests {
     use ustore_net::BlockDevice;
     use ustore_sim::Phase;
 
+    use crate::clientlib::Mounted;
+
     fn pod_cfg(units: u32, groups: u32, shards: usize, clients: u32) -> ShardedPodConfig {
         ShardedPodConfig {
             system: SystemConfig {
@@ -758,15 +581,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_pod_brings_up_and_serves_cross_world_io() {
-        let mut pod = ShardedPod::build(2001, &pod_cfg(4, 2, 2, 1));
-        pod.run_until(SimTime::from_secs(15));
-        assert!(pod.active_master().is_some(), "master elected");
-        assert!(pod.cross_messages() > 0, "heartbeats crossed worlds");
-
-        // Allocate, mount and do a write/read round trip: every hop
-        // (client → master → controller/endpoint → disk) crosses worlds.
+    /// Allocates a space with the pod's first client, mounts it, writes
+    /// `payload` and reads it back.
+    fn io_round_trip(pod: &mut ShardedPod, payload: &'static [u8]) {
         let client = pod.clients[0].clone();
         let info = Rc::new(RefCell::new(None));
         let i2 = info.clone();
@@ -782,7 +599,7 @@ mod tests {
             *m2.borrow_mut() = Some(r.expect("mount"));
         });
         pod.run_for(Duration::from_secs(15));
-        let mounted = mounted.borrow_mut().take().expect("mount served");
+        let mounted: Mounted = mounted.borrow_mut().take().expect("mount served");
 
         let ok = Rc::new(Cell::new(false));
         let o = ok.clone();
@@ -790,15 +607,15 @@ mod tests {
         mounted.write(
             &pod.sim,
             4096,
-            b"cold bits".to_vec(),
+            payload.to_vec(),
             Box::new(move |sim, r| {
                 r.expect("write");
                 m3.read(
                     sim,
                     4096,
-                    9,
+                    payload.len() as u64,
                     Box::new(move |_, r| {
-                        assert_eq!(r.expect("read"), b"cold bits".to_vec());
+                        assert_eq!(r.expect("read"), payload);
                         o.set(true);
                     }),
                 );
@@ -806,6 +623,18 @@ mod tests {
         );
         pod.run_for(Duration::from_secs(10));
         assert!(ok.get(), "cross-world IO round trip completed");
+    }
+
+    #[test]
+    fn sharded_pod_brings_up_and_serves_cross_world_io() {
+        let mut pod = ShardedPod::build(2001, &pod_cfg(4, 2, 2, 1));
+        pod.run_until(SimTime::from_secs(15));
+        assert!(pod.active_master().is_some(), "master elected");
+        assert!(pod.cross_messages() > 0, "heartbeats crossed worlds");
+
+        // Every hop (client → master → controller/endpoint → disk)
+        // crosses worlds.
+        io_round_trip(&mut pod, b"cold bits");
     }
 
     #[test]
@@ -845,10 +674,6 @@ mod tests {
         let mut pod = ShardedPod::build(2003, &cfg);
         pod.run_until(SimTime::from_secs(15));
         assert!(pod.cross_messages() > 0);
-        if !Profiler::compiled_in() {
-            assert!(pod.prof_snapshot().is_none());
-            return;
-        }
         let prof = pod.prof_snapshot().expect("profiled build snapshots");
         assert_eq!(prof.worlds.len(), 3, "control + 2 unit worlds");
         assert_eq!(prof.epochs, pod.epochs());
@@ -884,50 +709,8 @@ mod tests {
         pod.run_until(SimTime::from_secs(15));
         assert!(pod.active_master().is_some(), "master elected");
 
-        let client = pod.clients[0].clone();
-        let info = Rc::new(RefCell::new(None));
-        let i2 = info.clone();
-        client.allocate(&pod.sim, "svc", 1 << 30, move |_, r| {
-            *i2.borrow_mut() = Some(r.expect("allocate"));
-        });
-        pod.run_for(Duration::from_secs(10));
-        let info = info.borrow_mut().take().expect("allocation served");
+        io_round_trip(&mut pod, b"trace me");
 
-        let mounted = Rc::new(RefCell::new(None));
-        let m2 = mounted.clone();
-        client.mount(&pod.sim, info.name, move |_, r| {
-            *m2.borrow_mut() = Some(r.expect("mount"));
-        });
-        pod.run_for(Duration::from_secs(15));
-        let mounted = mounted.borrow_mut().take().expect("mount served");
-
-        let ok = Rc::new(Cell::new(false));
-        let o = ok.clone();
-        let m3 = mounted.clone();
-        mounted.write(
-            &pod.sim,
-            4096,
-            b"trace me".to_vec(),
-            Box::new(move |sim, r| {
-                r.expect("write");
-                m3.read(
-                    sim,
-                    4096,
-                    8,
-                    Box::new(move |_, r| {
-                        r.expect("read");
-                        o.set(true);
-                    }),
-                );
-            }),
-        );
-        pod.run_for(Duration::from_secs(10));
-        assert!(ok.get(), "traced IO round trip completed");
-
-        if !RequestTracer::compiled_in() {
-            assert!(pod.trace_snapshot().is_none());
-            return;
-        }
         let snap = pod.trace_snapshot().expect("traced build snapshots");
         assert!(snap.seen >= 2, "write + read completed under trace");
         assert_eq!(snap.live_at_end, 0, "no request left mid-flight");

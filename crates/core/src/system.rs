@@ -11,9 +11,9 @@ use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
-use ustore_consensus::{CoordConfig, CoordGroup, CoordServer};
+use ustore_consensus::{CoordGroup, CoordServer};
 use ustore_fabric::{DiskId, FabricRuntime, HostId, RuntimeConfig, Topology};
-use ustore_net::{Addr, NetConfig, Network, RpcNode};
+use ustore_net::{Addr, NetConfig, Network};
 use ustore_sim::{Scraper, ScraperConfig, Sim, TraceLevel};
 
 use crate::clientlib::{ClientLibConfig, UStoreClient};
@@ -22,6 +22,9 @@ use crate::endpoint::{Endpoint, EndpointConfig};
 use crate::ids::UnitId;
 use crate::master::{Master, MasterConfig, UnitConf};
 use crate::watchdog::{HealthWatchdog, WatchdogConfig};
+use crate::world::{
+    build_world, export_world, partition_logs, start_scraper, Hosted, World, WorldTelemetry,
+};
 
 /// Deployment shape.
 #[derive(Debug, Clone)]
@@ -131,9 +134,9 @@ pub fn coord_addr(i: u32) -> Addr {
 /// Unit configuration derived purely from the deployment shape — no live
 /// hardware required. Host/disk id order matches the unit's topology
 /// iteration order, and disk capacity comes from the configured drive
-/// profile, so this is identical to what [`UStoreSystem::build`] derives
-/// from a constructed [`FabricRuntime`]. The sharded builder relies on
-/// that: its Masters live in a different world than the unit hardware.
+/// profile, so this is identical to what a constructed [`FabricRuntime`]
+/// reports. The world builder relies on that: in a sharded pod the
+/// Masters live in a different world than the unit hardware.
 pub fn unit_conf_for(unit: UnitId, config: &SystemConfig) -> UnitConf {
     let (topology, _) = Topology::upper_switched(config.hosts, config.disks, config.fanin);
     let capacity = config.runtime.disk_profile.mech.capacity_bytes;
@@ -158,75 +161,23 @@ impl UStoreSystem {
     pub fn build(sim: Sim, config: SystemConfig) -> UStoreSystem {
         assert!(config.units >= 1, "need at least one deploy unit");
         let net = Network::new(config.net.clone());
-        // Tearing the simulator down also severs the network/RPC closure
-        // tables, so repeated in-process builds don't accumulate heap.
-        let net2 = net.clone();
-        sim.on_teardown(move || net2.teardown());
-        // Coordination cluster.
-        let coord_addrs: Vec<Addr> = (0..config.coord_nodes).map(coord_addr).collect();
-        let coord: Vec<CoordServer> = (0..config.coord_nodes)
-            .map(|i| CoordServer::new(&sim, &net, i, coord_addrs.clone(), CoordConfig::default()))
-            .collect();
-        // One extra replica group per metadata partition beyond the first
-        // (partition 0 is the base cluster itself).
-        let partition_groups: Vec<CoordGroup> = (1..config.master.partitions.max(1))
-            .map(|k| CoordGroup::new(&sim, &net, k, &coord_addrs, CoordConfig::default()))
-            .collect();
-        // Hardware + SysConf, one entry per deploy unit.
-        let mut runtimes = Vec::new();
-        let mut unit_confs = Vec::new();
-        for u in 0..config.units {
-            let unit = UnitId(u);
-            let (topology, switch_config) =
-                Topology::upper_switched(config.hosts, config.disks, config.fanin);
-            let runtime = FabricRuntime::new(&sim, topology, switch_config, config.runtime.clone());
-            unit_confs.push(unit_conf_for(unit, &config));
-            runtimes.push(runtime);
-        }
-        // Masters manage every unit.
-        let master_addrs: Vec<Addr> = (0..config.masters).map(master_addr).collect();
-        let masters: Vec<Master> = master_addrs
-            .iter()
-            .map(|a| {
-                Master::new(
-                    &sim,
-                    &net,
-                    a.clone(),
-                    coord_addrs.clone(),
-                    unit_confs.clone(),
-                    config.master.clone(),
-                )
-            })
-            .collect();
-        // Per-host machines: one RPC node each, serving EndPoint (and the
-        // first two per unit also serve a Controller).
-        let mut endpoints = Vec::new();
-        let mut controllers = Vec::new();
-        for (u, runtime) in runtimes.iter().enumerate() {
-            let unit = UnitId(u as u32);
-            for h in runtime.host_ids() {
-                let rpc = RpcNode::new(&net, unit_host_addr(unit, h));
-                if h.0 < 2 {
-                    controllers.push(Controller::new(unit, rpc.clone(), runtime.clone()));
-                }
-                endpoints.push(Endpoint::new(
-                    &sim,
-                    unit,
-                    h,
-                    rpc,
-                    runtime.clone(),
-                    master_addrs.clone(),
-                    config.endpoint.clone(),
-                ));
-            }
-        }
+        let World {
+            sim,
+            net,
+            coord,
+            coord_groups,
+            runtimes,
+            masters,
+            endpoints,
+            controllers,
+        } = build_world(sim, net, &config, &Hosted::everything(&config));
         UStoreSystem {
             sim,
             net,
             runtime: runtimes[0].clone(),
             runtimes,
             coord,
-            partition_groups,
+            partition_groups: coord_groups,
             masters,
             endpoints,
             controllers,
@@ -238,14 +189,9 @@ impl UStoreSystem {
     /// order (index 0 = the base cluster, which also carries elections and
     /// sessions; indices 1.. = the per-partition groups).
     pub fn partition_log_lens(&self) -> Vec<u64> {
-        let base = self
-            .coord
-            .iter()
-            .map(|s| s.applied_len())
-            .max()
-            .unwrap_or(0);
-        std::iter::once(base)
-            .chain(self.partition_groups.iter().map(|g| g.log_len()))
+        partition_logs(&self.coord, &self.partition_groups)
+            .into_iter()
+            .map(|(_, len)| len)
             .collect()
     }
 
@@ -351,16 +297,22 @@ impl UStoreSystem {
     /// cadence, so each scrape observes freshly published gauges (the
     /// simulator fires same-instant timers in registration order).
     pub fn start_telemetry(&self, config: ScraperConfig) -> Scraper {
-        let runtimes = self.runtimes.clone();
-        let net = self.net.clone();
-        self.sim
-            .every(config.interval, config.interval, move |sim| {
-                for rt in &runtimes {
-                    rt.publish_residency(sim);
-                }
-                net.publish_metrics(sim);
-            });
-        Scraper::start(&self.sim, config)
+        start_scraper(&self.sim, &self.net, &self.runtimes, config)
+    }
+
+    /// Exports the deployment's telemetry as world 0: disk residency
+    /// gauges are published first, then the metrics snapshot, span log,
+    /// `scraper`'s time series and the metadata partitions' log lengths
+    /// are taken — the same export every sharded world produces.
+    pub fn export(&self, scraper: Option<&Scraper>) -> WorldTelemetry {
+        export_world(
+            0,
+            &self.sim,
+            &self.runtimes,
+            &self.coord,
+            &self.partition_groups,
+            scraper,
+        )
     }
 
     /// Installs the Master-side health watchdog over `scraper`'s series:

@@ -35,7 +35,7 @@
 //!   fixed world decomposition ([`ShardCoordinator`]).
 //! - [`prof`]: wall-clock profiling of the engine itself ([`Profiler`],
 //!   [`TrafficMatrix`]) — phase timers, epoch statistics, Perfetto
-//!   thread timelines. Feature-gated (`wallprof`, on by default).
+//!   thread timelines.
 //! - [`span`]: causal span tracing ([`SpanTracer`]) for decomposition and
 //!   causality queries.
 //! - [`export`]: Prometheus exposition text and Chrome trace-event JSON.

@@ -14,11 +14,9 @@
 //!   already-computed event counts; it never touches RNG state, event
 //!   ordering, or telemetry. Digests must stay bit-identical with
 //!   profiling on or off (golden-tested in `tests/determinism.rs`).
-//! - **Off by default, compile-out-able.** A [`Profiler`] is a cheap
-//!   cloneable handle around `Option<Arc<..>>`; [`Profiler::off`] makes
-//!   every probe a branch on `None`. Building `ustore-sim` with
-//!   `--no-default-features` (dropping the `wallprof` feature) compiles
-//!   the enabled path out entirely.
+//! - **Off by default.** A [`Profiler`] is a cheap cloneable handle
+//!   around `Option<Arc<..>>`; [`Profiler::off`] makes every probe a
+//!   branch on `None`.
 //! - **Lock-free accumulation.** Phase timings land in per-world slabs of
 //!   relaxed [`AtomicU64`]s; the only mutexes guard per-thread slice
 //!   buffers, each written by exactly one thread.
@@ -92,7 +90,6 @@ struct AtomicHist {
 }
 
 impl AtomicHist {
-    #[cfg_attr(not(feature = "wallprof"), allow(dead_code))]
     fn new() -> Self {
         AtomicHist {
             slots: (0..HIST_SLOTS).map(|_| AtomicU64::new(0)).collect(),
@@ -128,7 +125,6 @@ struct WorldSlab {
 }
 
 impl WorldSlab {
-    #[cfg_attr(not(feature = "wallprof"), allow(dead_code))]
     fn new() -> Self {
         WorldSlab {
             phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -173,7 +169,6 @@ struct ProfInner {
     tracks: Mutex<Vec<Arc<TrackSlab>>>,
 }
 
-#[cfg(feature = "wallprof")]
 impl ProfInner {
     fn new(worlds: usize) -> Self {
         ProfInner {
@@ -205,29 +200,13 @@ impl Profiler {
     }
 
     /// An active profiler with `worlds` accumulation slabs.
-    ///
-    /// When the crate is built without the `wallprof` feature this
-    /// returns an inert handle, compiling the probes out entirely.
     pub fn on(worlds: usize) -> Self {
-        #[cfg(feature = "wallprof")]
-        {
-            Profiler(Some(Arc::new(ProfInner::new(worlds))))
-        }
-        #[cfg(not(feature = "wallprof"))]
-        {
-            let _ = worlds;
-            Profiler(None)
-        }
+        Profiler(Some(Arc::new(ProfInner::new(worlds))))
     }
 
-    /// Whether probes are live (feature compiled in *and* handle active).
+    /// Whether probes are live (the handle is active).
     pub fn is_on(&self) -> bool {
         self.0.is_some()
-    }
-
-    /// Whether the crate was compiled with wall-clock profiling support.
-    pub fn compiled_in() -> bool {
-        cfg!(feature = "wallprof")
     }
 
     /// Records the engine's lookahead so snapshots can report lookahead
@@ -789,10 +768,6 @@ mod tests {
     #[test]
     fn phase_accumulation_and_snapshot() {
         let p = Profiler::on(2);
-        if !Profiler::compiled_in() {
-            assert!(p.snapshot().is_none());
-            return;
-        }
         p.set_lookahead(Duration::from_micros(100));
         p.phase(0, Phase::Execute, 1_000);
         p.phase(0, Phase::Execute, 500);
@@ -828,9 +803,6 @@ mod tests {
     #[test]
     fn tracks_record_slices_and_cap() {
         let p = Profiler::on(1);
-        if !Profiler::compiled_in() {
-            return;
-        }
         let t = p.register_track("worker-1");
         t.slice(Phase::Execute, 0, 100, 50);
         t.slice(Phase::BarrierWait, usize::MAX, 150, 25);

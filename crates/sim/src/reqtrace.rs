@@ -32,9 +32,6 @@
 //! tracer state (id allocation, completion folds, sampling) mutates only
 //! from the control world, whose event order is shard-count-invariant;
 //! probes from server worlds touch per-request state only.
-//!
-//! Building without the `reqtrace` feature compiles the enabled path out
-//! entirely; [`RequestTracer::on`] then returns an inert handle.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -212,7 +209,6 @@ struct KindSlab {
 }
 
 impl KindSlab {
-    #[cfg_attr(not(feature = "reqtrace"), allow(dead_code))]
     fn new() -> Self {
         KindSlab {
             completed: 0,
@@ -247,7 +243,6 @@ struct TraceInner {
     exemplars: Vec<TraceRecord>,
 }
 
-#[cfg(feature = "reqtrace")]
 impl TraceInner {
     fn new(sample_every: u64, exemplar_k: usize, sample_cap: usize) -> Self {
         TraceInner {
@@ -272,9 +267,7 @@ impl TraceInner {
             exemplars: Vec::new(),
         }
     }
-}
 
-impl TraceInner {
     /// Closes the residual interval since the last mark as `stage`.
     fn mark(&mut self, id: TraceId, stage: Stage, now_ns: u64) {
         if let Some(req) = self.live.get_mut(&id.0) {
@@ -345,23 +338,12 @@ impl RequestTracer {
 
     /// An active tracer keeping one full trace per `sample_every`
     /// completions and the `exemplar_k` slowest exemplars.
-    ///
-    /// When the crate is built without the `reqtrace` feature this
-    /// returns an inert handle, compiling the probes out entirely.
     pub fn on(sample_every: u64, exemplar_k: usize) -> Self {
-        #[cfg(feature = "reqtrace")]
-        {
-            RequestTracer(Some(Arc::new(Mutex::new(TraceInner::new(
-                sample_every,
-                exemplar_k,
-                SAMPLE_CAP,
-            )))))
-        }
-        #[cfg(not(feature = "reqtrace"))]
-        {
-            let _ = (sample_every, exemplar_k);
-            RequestTracer(None)
-        }
+        RequestTracer(Some(Arc::new(Mutex::new(TraceInner::new(
+            sample_every,
+            exemplar_k,
+            SAMPLE_CAP,
+        )))))
     }
 
     /// An active tracer with default sampling parameters.
@@ -369,14 +351,9 @@ impl RequestTracer {
         RequestTracer::on(DEFAULT_SAMPLE_EVERY, DEFAULT_EXEMPLARS)
     }
 
-    /// Whether probes are live (feature compiled in *and* handle active).
+    /// Whether probes are live (the handle is active).
     pub fn is_on(&self) -> bool {
         self.0.is_some()
-    }
-
-    /// Whether the crate was compiled with request tracing support.
-    pub fn compiled_in() -> bool {
-        cfg!(feature = "reqtrace")
     }
 
     /// Starts a trace for one client IO. Returns `None` when inert.
@@ -875,10 +852,6 @@ mod tests {
     #[test]
     fn mark_and_absorb_attribute_without_double_counting() {
         let t = RequestTracer::on(1, 4);
-        if !RequestTracer::compiled_in() {
-            assert!(t.snapshot().is_none());
-            return;
-        }
         let id = t.begin(ReqKind::Read, ns(0)).unwrap();
         let stamp = t.dispatch(id, ns(100)).unwrap(); // 100ns ClientQueue
         t.mark(Some(stamp), Stage::NetTransit, ns(300)); // 200ns wire
@@ -918,9 +891,6 @@ mod tests {
     #[test]
     fn stale_attempt_probes_are_ignored() {
         let t = RequestTracer::on(1, 4);
-        if !RequestTracer::compiled_in() {
-            return;
-        }
         let id = t.begin(ReqKind::Write, ns(0)).unwrap();
         let stale = t.dispatch(id, ns(10)).unwrap();
         t.io_failed(id, ns(500)); // 490ns retry, attempt now 1
@@ -944,9 +914,6 @@ mod tests {
     #[test]
     fn sampling_and_exemplars_bound_memory() {
         let t = RequestTracer::on(10, 3);
-        if !RequestTracer::compiled_in() {
-            return;
-        }
         for i in 0..100u64 {
             let id = t.begin(ReqKind::Read, ns(i * 1_000)).unwrap();
             let stamp = t.dispatch(id, ns(i * 1_000)).unwrap();
@@ -969,9 +936,6 @@ mod tests {
     #[test]
     fn abandoned_requests_never_pollute_latency() {
         let t = RequestTracer::on(1, 2);
-        if !RequestTracer::compiled_in() {
-            return;
-        }
         let id = t.begin(ReqKind::Read, ns(0)).unwrap();
         t.dispatch(id, ns(5));
         t.abandon(id);

@@ -6,12 +6,14 @@
 use ustore::TracePlan;
 use ustore_bench::degraded::run_degraded_traced;
 use ustore_bench::fuzz::{run_fuzz, FuzzOptions};
-use ustore_bench::podscale::{
-    fnv1a, run_podscale, run_podscale_profiled, run_podscale_sharded,
-    run_podscale_sharded_profiled, run_podscale_sharded_traced, run_podscale_traced, PodConfig,
-};
+use ustore_bench::podscale::{fnv1a, run_podscale, PodConfig, PodscaleRun, RunOpts};
 use ustore_sim::faultgen::{Bathtub, FaultModelConfig, FaultSchedule, FleetShape, Weibull};
-use ustore_sim::{canonical_merge, Profiler, RequestTracer, Routed, SimRng, SimTime};
+use ustore_sim::{canonical_merge, Routed, SimRng, SimTime};
+
+/// The sharded engine on `shards` threads, no probes.
+fn sharded(cfg: &PodConfig, shards: usize) -> PodscaleRun {
+    run_podscale(7, cfg, RunOpts::sharded(shards))
+}
 
 #[test]
 fn degraded_telemetry_is_bit_for_bit_deterministic() {
@@ -58,8 +60,8 @@ fn degraded_telemetry_varies_with_seed() {
 #[test]
 fn podscale_digest_is_deterministic_across_same_seed_runs() {
     let cfg = PodConfig::tiny();
-    let a = run_podscale(7, &cfg);
-    let b = run_podscale(7, &cfg);
+    let a = run_podscale(7, &cfg, RunOpts::default());
+    let b = run_podscale(7, &cfg, RunOpts::default());
     assert_eq!(a.events, b.events, "event counts differ");
     assert_eq!(a.digest, b.digest, "telemetry digests differ");
     assert_eq!(
@@ -69,23 +71,14 @@ fn podscale_digest_is_deterministic_across_same_seed_runs() {
     );
 }
 
-/// Golden test for the sharded parallel engine: the same pod, same seed,
-/// executed on 1, 2 and 4 threads must produce byte-identical telemetry
-/// digests. The decomposition (world count, RNG streams, registries) is
-/// fixed by the scenario; only the executor thread count varies, so any
-/// divergence means cross-shard message ordering leaked thread timing
-/// into simulation state.
-#[test]
-fn podscale_sharded_digest_is_identical_for_shards_1_2_4() {
-    let cfg = PodConfig::tiny();
-    let runs: Vec<_> = [1usize, 2, 4]
-        .into_iter()
-        .map(|s| (s, run_podscale_sharded(7, &cfg, s)))
-        .collect();
-    let (_, base) = &runs[0];
+/// Runs `cfg` at seed 7 on 1, 2 and 4 executor threads and asserts that
+/// every outcome is identical across them. Returns the 1-thread run.
+fn assert_identical_for_shards_1_2_4(cfg: &PodConfig) -> PodscaleRun {
+    let base = sharded(cfg, 1);
     assert!(base.writes_ok > 0 && base.reads_ok > 0, "workload served");
     assert_eq!(base.io_errors, 0, "healthy pod serves all IO");
-    for (s, run) in &runs[1..] {
+    for s in [2usize, 4] {
+        let run = sharded(cfg, s);
         assert_eq!(
             run.digest, base.digest,
             "telemetry digest diverged at --shards {s}"
@@ -96,6 +89,10 @@ fn podscale_sharded_digest_is_identical_for_shards_1_2_4() {
         );
         assert_eq!(run.writes_ok, base.writes_ok);
         assert_eq!(run.reads_ok, base.reads_ok);
+        assert_eq!(
+            run.partition_logs, base.partition_logs,
+            "per-partition log lengths diverged at --shards {s}"
+        );
         let (a, b) = (
             base.sharding.as_ref().expect("shard stats"),
             run.sharding.as_ref().expect("shard stats"),
@@ -114,6 +111,18 @@ fn podscale_sharded_digest_is_identical_for_shards_1_2_4() {
             "cross-world traffic diverged at --shards {s}"
         );
     }
+    base
+}
+
+/// Golden test for the sharded parallel engine: the same pod, same seed,
+/// executed on 1, 2 and 4 threads must produce byte-identical telemetry
+/// digests. The decomposition (world count, RNG streams, registries) is
+/// fixed by the scenario; only the executor thread count varies, so any
+/// divergence means cross-shard message ordering leaked thread timing
+/// into simulation state.
+#[test]
+fn podscale_sharded_digest_is_identical_for_shards_1_2_4() {
+    assert_identical_for_shards_1_2_4(&PodConfig::tiny());
 }
 
 /// Golden test for the partitioned control plane on the sharded engine:
@@ -128,37 +137,11 @@ fn podscale_sharded_digest_is_identical_for_shards_1_2_4() {
 fn partitioned_leased_sharded_digest_is_identical_for_shards_1_2_4() {
     let cfg = PodConfig::tiny().partitioned();
     assert!(cfg.partitions > 1, "partitioned shape under test");
-    let runs: Vec<_> = [1usize, 2, 4]
-        .into_iter()
-        .map(|s| (s, run_podscale_sharded(7, &cfg, s)))
-        .collect();
-    let (_, base) = &runs[0];
-    assert!(base.writes_ok > 0 && base.reads_ok > 0, "workload served");
-    assert_eq!(base.io_errors, 0, "healthy pod serves all IO");
-    for (s, run) in &runs[1..] {
-        assert_eq!(
-            run.digest, base.digest,
-            "partitioned telemetry digest diverged at --shards {s}"
-        );
-        assert_eq!(run.events, base.events);
-        assert_eq!(run.writes_ok, base.writes_ok);
-        assert_eq!(run.reads_ok, base.reads_ok);
-        assert_eq!(
-            run.partition_logs, base.partition_logs,
-            "per-partition log lengths diverged at --shards {s}"
-        );
-        let (a, b) = (
-            base.sharding.as_ref().expect("shard stats"),
-            run.sharding.as_ref().expect("shard stats"),
-        );
-        assert_eq!(a.epochs, b.epochs);
-        assert_eq!(a.sync_rounds, b.sync_rounds);
-        assert_eq!(a.cross_messages, b.cross_messages);
-    }
+    let base = assert_identical_for_shards_1_2_4(&cfg);
     // The monolithic pod at the same seed is a different scenario (extra
     // replica groups, refresh lookups): its digest must differ, or the
     // partitioned comparison above is vacuous.
-    let mono = run_podscale_sharded(7, &PodConfig::tiny(), 2);
+    let mono = sharded(&PodConfig::tiny(), 2);
     assert_ne!(
         mono.digest, base.digest,
         "partitioned and monolithic scenarios produced identical telemetry"
@@ -361,32 +344,30 @@ fn lookahead_matrix_never_undercuts_observed_path_latency() {
 /// bit-identical to the unprofiled run.
 #[test]
 fn profiling_leaves_sharded_digests_bit_identical() {
-    if !Profiler::compiled_in() {
-        // Built with --no-default-features: the profiler is compiled out
-        // and the comparison would be vacuous.
-        return;
-    }
     let cfg = PodConfig::tiny();
-    for shards in [1usize, 2, 4] {
-        let plain = run_podscale_sharded(7, &cfg, shards);
-        let profiled = run_podscale_sharded_profiled(7, &cfg, shards);
+    for shards in [Some(1), Some(2), Some(4), None] {
+        let opts = RunOpts {
+            shards,
+            ..RunOpts::default()
+        };
+        let profiled = run_podscale(7, &cfg, opts.clone().profiled());
+        let plain = run_podscale(7, &cfg, opts);
         assert_eq!(
             profiled.digest, plain.digest,
-            "profiling changed the telemetry digest at --shards {shards}"
+            "profiling changed the telemetry digest (shards {shards:?})"
         );
         assert_eq!(profiled.events, plain.events);
         assert!(
-            profiled.prof.is_some() && profiled.traffic.is_some(),
-            "profiled run captured its snapshots"
+            profiled.prof.is_some(),
+            "profiled run captured its snapshot"
+        );
+        assert_eq!(
+            profiled.traffic.is_some(),
+            shards.is_some(),
+            "sharded runs also capture the traffic matrix"
         );
         assert!(plain.prof.is_none() && plain.traffic.is_none());
     }
-    let plain = run_podscale(7, &cfg);
-    let profiled = run_podscale_profiled(7, &cfg);
-    assert_eq!(
-        profiled.digest, plain.digest,
-        "profiling changed the classic engine's telemetry digest"
-    );
 }
 
 /// Golden test for the request-lifecycle tracer: like the profiler it is
@@ -396,31 +377,23 @@ fn profiling_leaves_sharded_digests_bit_identical() {
 /// engine's too.
 #[test]
 fn tracing_leaves_sharded_digests_bit_identical() {
-    if !RequestTracer::compiled_in() {
-        // Built with --no-default-features: the tracer is compiled out
-        // and the comparison would be vacuous.
-        return;
-    }
     let cfg = PodConfig::tiny();
-    for shards in [1usize, 2, 4] {
-        let plain = run_podscale_sharded(7, &cfg, shards);
-        let traced = run_podscale_sharded_traced(7, &cfg, shards, TracePlan::default());
+    for shards in [Some(1), Some(2), Some(4), None] {
+        let opts = RunOpts {
+            shards,
+            ..RunOpts::default()
+        };
+        let traced = run_podscale(7, &cfg, opts.clone().traced(TracePlan::default()));
+        let plain = run_podscale(7, &cfg, opts);
         assert_eq!(
             traced.digest, plain.digest,
-            "tracing changed the telemetry digest at --shards {shards}"
+            "tracing changed the telemetry digest (shards {shards:?})"
         );
         assert_eq!(traced.events, plain.events);
         let snap = traced.slo.as_ref().expect("traced run captured snapshot");
         assert!(snap.seen > 0, "tracer saw the pod's requests");
         assert!(plain.slo.is_none());
     }
-    let plain = run_podscale(7, &cfg);
-    let traced = run_podscale_traced(7, &cfg, TracePlan::default());
-    assert_eq!(
-        traced.digest, plain.digest,
-        "tracing changed the classic engine's telemetry digest"
-    );
-    assert_eq!(traced.events, plain.events);
 }
 
 /// The profiler's phase accounting must tile the run: each world's phase
@@ -430,10 +403,7 @@ fn tracing_leaves_sharded_digests_bit_identical() {
 /// instrumented) and double counting (a phase attributed twice).
 #[test]
 fn profiled_phase_sums_approximate_measured_wall_time() {
-    if !Profiler::compiled_in() {
-        return;
-    }
-    let run = run_podscale_sharded_profiled(7, &PodConfig::tiny(), 2);
+    let run = run_podscale(7, &PodConfig::tiny(), RunOpts::sharded(2).profiled());
     let prof = run.prof.expect("profiled run has a snapshot");
     let wall_ns = run.run_wall_seconds * 1e9;
     assert!(wall_ns > 0.0);
@@ -550,6 +520,49 @@ fn fault_schedules_are_identical_across_shard_counts() {
 /// Golden digest for `FaultSchedule::generate_for(0x5EED_FA07, ..)` over
 /// the 2-unit reference fleet above.
 const GOLDEN_SCHEDULE_DIGEST: u64 = 0x2364_B17A_D8FD_33C8;
+
+/// Golden pod digests at seed 7 for `PodConfig::tiny()` on the classic
+/// engine, on the sharded engine, and for `PodConfig::tiny().partitioned()`
+/// on the sharded engine. Components register timers and draw from their
+/// world's RNG as they are built, so these pin the world builder's
+/// construction order as well as the simulation itself.
+const GOLDEN_TINY_CLASSIC_DIGEST: u64 = 0xaa6f_9122_d3f9_7a14;
+const GOLDEN_TINY_SHARDED_DIGEST: u64 = 0x0b37_b5d5_1ce4_5bcb;
+const GOLDEN_TINY_PARTITIONED_DIGEST: u64 = 0xe5ee_8613_c9dc_3dc9;
+
+/// Golden construction test: both engines' tiny-pod digests match the
+/// values pinned above. A reordered world builder fails here even when
+/// same-seed runs still agree with each other.
+#[test]
+fn tiny_pod_digests_match_the_golden_values() {
+    let tiny = PodConfig::tiny();
+    for (label, cfg, opts, golden) in [
+        (
+            "classic",
+            &tiny,
+            RunOpts::default(),
+            GOLDEN_TINY_CLASSIC_DIGEST,
+        ),
+        (
+            "sharded",
+            &tiny,
+            RunOpts::sharded(1),
+            GOLDEN_TINY_SHARDED_DIGEST,
+        ),
+        (
+            "partitioned",
+            &tiny.clone().partitioned(),
+            RunOpts::sharded(1),
+            GOLDEN_TINY_PARTITIONED_DIGEST,
+        ),
+    ] {
+        let digest = run_podscale(7, cfg, opts).digest;
+        assert_eq!(
+            digest, golden,
+            "{label} tiny-pod digest {digest:016x} drifted from its golden value"
+        );
+    }
+}
 
 /// Golden replay test for the fuzzer: a short campaign with a synthetic
 /// failure must catch the failure, shrink it, and a second run of the
