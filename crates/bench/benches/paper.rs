@@ -55,7 +55,7 @@ fn main() {
         black_box(fig6::switch_time(4, 9));
     });
     bench("failover/host_failure_recovery", 3, || {
-        black_box(failover::run_failover(11, u32::MAX).total);
+        black_box(failover::run_failover(11, u32::MAX).timing.total);
     });
     bench("models/table1_cost_model", 10, || {
         black_box(table1(&PriceCatalog::default(), 10.0));

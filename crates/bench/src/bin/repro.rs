@@ -4,11 +4,8 @@
 //! repro [experiment ...] [--seed N] [--repeats N] [--jobs N] [--shards N]
 //!       [--partitions N] [--json] [--prom-out FILE] [--trace-out FILE]
 //!       [--ts-out FILE]
-//! repro perf [--quick] [--seed N] [--shards N] [--bench-out FILE] [--json]
-//! repro profile [--quick] [--seed N] [--shards N] [--prom-out FILE]
-//!       [--trace-out FILE] [--json]
-//! repro slo [--quick] [--seed N] [--shards N] [--slo-out FILE]
-//!       [--trace-out FILE] [--json]
+//! repro perf [--quick] [--seed N] [--shards N] [--bench-out FILE]
+//!       [--prom-out FILE] [--trace-out FILE] [--json]
 //! repro fuzz [--quick] [--seed N] [--shards N] [--campaigns N]
 //!       [--replay SEED] [--synthetic-fail] [--fuzz-out FILE] [--json]
 //! ```
@@ -33,40 +30,36 @@
 //! partitions (each its own replicated log) for the `podscale` and
 //! `megapod` experiments; `1` (the default) is the monolithic layout and
 //! is bit-identical with the pre-partition system. Like `--shards`, `0`
-//! is rejected. The `perf` and `slo` subcommands measure the partitioned
-//! pod themselves (the `metadata` section of `BENCH_podscale.json` and
-//! the control-plane block of the SLO report), so they do not take the
-//! flag.
+//! is rejected. The `perf` subcommand measures the partitioned pod itself
+//! (the `metadata` section of `BENCH_podscale.json`), so it does not take
+//! the flag.
 //!
 //! Each experiment builds its own independent simulator, so the selected
 //! experiments run on a thread pool (`--jobs`, default: available
 //! parallelism). Results are joined in selection order, making the text
 //! and `--json` output byte-identical to a serial run.
 //!
-//! The `perf` subcommand is the wall-clock engine benchmark: it measures
+//! The `perf` subcommand is the one measurement entry point. It measures
 //! events/sec, peak live queue depth and allocations/event (via a counting
 //! global allocator) on the `degraded` scenario and on the pod-scale
-//! deployment, runs the pod twice to verify telemetry determinism, and
-//! writes `BENCH_podscale.json` (override with `--bench-out`). It always
-//! runs alone, serially, so wall-clock numbers are undisturbed.
-//!
-//! The `profile` subcommand runs the pod with the wall-clock shard
-//! profiler on and prints a scaling diagnosis: per-world phase breakdown
-//! (execute / outbox_drain / barrier_wait / merge / idle_jump), epoch and
-//! lookahead statistics, and the cross-world traffic matrix. With
-//! `--trace-out` it writes a Perfetto trace with one wall-clock track per
-//! engine thread; with `--prom-out`, the profiler aggregates under the
-//! `ustore_prof_` prefix. It exits nonzero if enabling the profiler
-//! changed the telemetry digest. Like `perf`, it runs alone.
-//!
-//! The `slo` subcommand runs the pod with the request-lifecycle tracer on
-//! and prints the time-to-first-byte decomposition: per-stage p50 / p99 /
-//! p99.9 tables for reads and writes, the coverage fraction (attributed ÷
-//! end-to-end latency), and the slowest request's full stage timeline.
-//! With `--slo-out` it writes the machine-readable report; with
-//! `--trace-out` it writes a Perfetto trace with one track per
-//! slowest-request exemplar. It exits nonzero if enabling the tracer
-//! changed the telemetry digest. Like `perf`, it runs alone.
+//! deployment, runs the pod twice to verify telemetry determinism, sweeps
+//! the sharded engine, and writes `BENCH_podscale.json` (override with
+//! `--bench-out`). At the largest shard count it also runs the pod with
+//! the wall-clock shard profiler on, with the request-lifecycle tracer on,
+//! and partitioned + leased with the tracer on, and prints their
+//! diagnoses: the per-world phase breakdown (execute / outbox_drain /
+//! barrier_wait / merge / idle_jump), epoch and lookahead statistics and
+//! the cross-world traffic matrix; the per-stage p50 / p99 / p99.9
+//! time-to-first-byte tables with their coverage fraction and the slowest
+//! request's stage timeline; and the lease hit rate and `master_lookup`
+//! before and after leasing. With `--trace-out` it writes one Perfetto
+//! trace with a wall-clock track per engine thread (pid 2) and a track
+//! per slowest-request exemplar (pid 3); with `--prom-out`, the profiler
+//! aggregates under the `ustore_prof_` prefix. It exits nonzero if a
+//! gate fails: same-seed or cross-shard digests diverge, enabling the
+//! profiler or the tracer changes a digest, stage coverage falls below
+//! 95%, or the leased run never hits its lease cache. It always runs
+//! alone, serially, so wall-clock numbers are undisturbed.
 //!
 //! The `fuzz` subcommand runs seeded fault-injection campaigns against
 //! the full system under the empirical fault model (`ustore-sim`'s
@@ -98,8 +91,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use ustore_bench::{
-    ablation, degraded, failover, fig5, fig6, fuzz, hdfs, megapod, perf, podscale, power, profile,
-    slo, table2, Report, TelemetryArtifacts,
+    ablation, degraded, failover, fig5, fig6, fuzz, hdfs, megapod, perf, podscale, power, table2,
+    Report, TelemetryArtifacts,
 };
 use ustore_sim::Json;
 
@@ -133,10 +126,9 @@ fn alloc_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-const EXPERIMENTS: [&str; 19] = [
+const EXPERIMENTS: [&str; 17] = [
     "table1", "table2", "table3", "table4", "table5", "fig5", "duplex", "fig6", "failover",
-    "degraded", "hdfs", "rolling", "ablation", "podscale", "megapod", "perf", "profile", "slo",
-    "fuzz",
+    "degraded", "hdfs", "rolling", "ablation", "podscale", "megapod", "perf", "fuzz",
 ];
 
 /// Default shard count for the scenarios that always run sharded: as many
@@ -177,13 +169,13 @@ fn run_pick(
         "duplex" => out.reports.push(fig5::duplex(seed)),
         "fig6" => out.reports.push(fig6::fig6(seed, repeats)),
         "failover" => {
-            let (rep, tele, arts) = failover::failover_report_traced(seed);
+            let (rep, tele, arts) = failover::failover_report(seed);
             out.reports.push(rep);
             out.telemetry = Some(("failover", tele));
             out.artifacts = Some(arts);
         }
         "degraded" => {
-            let (rep, tele, arts) = degraded::degraded_report_traced(seed);
+            let (rep, tele, arts) = degraded::degraded_report(seed);
             out.reports.push(rep);
             out.telemetry = Some(("degraded", tele));
             out.artifacts = Some(arts);
@@ -233,7 +225,6 @@ fn main() {
     let mut json = false;
     let mut quick = false;
     let mut bench_out = String::from("BENCH_podscale.json");
-    let mut slo_out: Option<String> = None;
     let mut fuzz_out: Option<String> = None;
     let mut campaigns: Option<u32> = None;
     let mut replay: Option<u64> = None;
@@ -287,9 +278,6 @@ fn main() {
                     .next()
                     .unwrap_or_else(|| usage("--bench-out needs a path"));
             }
-            "--slo-out" => {
-                slo_out = Some(it.next().unwrap_or_else(|| usage("--slo-out needs a path")));
-            }
             "--fuzz-out" => {
                 fuzz_out = Some(
                     it.next()
@@ -337,7 +325,6 @@ fn main() {
     // simulation.
     for (flag, path) in [
         ("--bench-out", Some(&bench_out)),
-        ("--slo-out", slo_out.as_ref()),
         ("--fuzz-out", fuzz_out.as_ref()),
         ("--prom-out", prom_out.as_ref()),
         ("--trace-out", trace_out.as_ref()),
@@ -347,19 +334,17 @@ fn main() {
             check_writable_destination(flag, path);
         }
     }
-    if partitions.is_some()
-        && picks
-            .iter()
-            .any(|p| matches!(p.as_str(), "perf" | "profile" | "slo" | "fuzz"))
-    {
-        usage("--partitions applies to podscale/megapod (perf and slo measure the partitioned pod themselves)");
+    if partitions.is_some() && picks.iter().any(|p| matches!(p.as_str(), "perf" | "fuzz")) {
+        usage(
+            "--partitions applies to podscale/megapod (perf measures the partitioned pod itself)",
+        );
     }
     if picks.iter().any(|p| p == "fuzz") {
         if picks.len() > 1 {
             usage("fuzz runs alone (campaign seeds must not share artifact flags)");
         }
-        if prom_out.is_some() || trace_out.is_some() || ts_out.is_some() || slo_out.is_some() {
-            usage("--prom-out/--trace-out/--ts-out/--slo-out are not produced by fuzz (use --fuzz-out)");
+        if prom_out.is_some() || trace_out.is_some() || ts_out.is_some() {
+            usage("--prom-out/--trace-out/--ts-out are not produced by fuzz (use --fuzz-out)");
         }
         run_fuzz_command(
             seed,
@@ -382,61 +367,24 @@ fn main() {
         if picks.len() > 1 {
             usage("perf runs alone (wall-clock numbers must not share the machine)");
         }
+        if ts_out.is_some() {
+            usage("--ts-out is not produced by perf (use --prom-out / --trace-out)");
+        }
         run_perf_command(
             seed,
             quick,
             shards.unwrap_or_else(default_shards),
             &bench_out,
-            json,
-        );
-        return;
-    }
-    if picks.iter().any(|p| p == "profile") {
-        if picks.len() > 1 {
-            usage("profile runs alone (wall-clock numbers must not share the machine)");
-        }
-        if ts_out.is_some() {
-            usage("--ts-out is not produced by profile (use --prom-out / --trace-out)");
-        }
-        run_profile_command(
-            seed,
-            quick,
-            shards.unwrap_or_else(default_shards),
             prom_out.as_deref(),
             trace_out.as_deref(),
             json,
         );
         return;
     }
-    if picks.iter().any(|p| p == "slo") {
-        if picks.len() > 1 {
-            usage("slo runs alone (it owns the pod-scale runs it measures)");
-        }
-        if prom_out.is_some() || ts_out.is_some() {
-            usage("--prom-out/--ts-out are not produced by slo (use --slo-out / --trace-out)");
-        }
-        run_slo_command(
-            seed,
-            quick,
-            shards.unwrap_or_else(default_shards),
-            slo_out.as_deref(),
-            trace_out.as_deref(),
-            json,
-        );
-        return;
-    }
-    if slo_out.is_some() {
-        usage("--slo-out is only produced by the slo subcommand");
-    }
     if picks.is_empty() || picks.iter().any(|p| p == "all") {
         picks = EXPERIMENTS
             .iter()
-            .filter(|e| {
-                !matches!(
-                    **e,
-                    "podscale" | "megapod" | "perf" | "profile" | "slo" | "fuzz"
-                )
-            })
+            .filter(|e| !matches!(**e, "podscale" | "megapod" | "perf" | "fuzz"))
             .map(|s| (*s).to_owned())
             .collect();
     }
@@ -487,17 +435,15 @@ fn main() {
         usage("--prom-out/--trace-out/--ts-out need a traced experiment (failover or degraded)");
     }
     if let Some(arts) = &artifacts {
-        let write = |path: &Option<String>, what: &str, content: &str| {
+        for (path, what, content) in [
+            (&prom_out, "Prometheus metrics", &arts.prometheus),
+            (&trace_out, "Chrome trace", &arts.chrome_trace),
+            (&ts_out, "time-series CSV", &arts.timeseries_csv),
+        ] {
             if let Some(path) = path {
-                if let Err(e) = std::fs::write(path, content) {
-                    eprintln!("error: writing {what} to {path}: {e}");
-                    std::process::exit(1);
-                }
+                write_artifact(path, what, content);
             }
-        };
-        write(&prom_out, "Prometheus metrics", &arts.prometheus);
-        write(&trace_out, "Chrome trace", &arts.chrome_trace);
-        write(&ts_out, "time-series CSV", &arts.timeseries_csv);
+        }
     }
     if json {
         let mut doc = Json::obj([
@@ -525,17 +471,29 @@ fn main() {
     }
 }
 
-fn run_perf_command(seed: u64, quick: bool, shards: usize, bench_out: &str, json: bool) {
-    let report = perf::run_perf(&perf::PerfOptions {
+fn run_perf_command(
+    seed: u64,
+    quick: bool,
+    shards: usize,
+    bench_out: &str,
+    prom_out: Option<&str>,
+    trace_out: Option<&str>,
+    json: bool,
+) {
+    let (report, instrumented) = perf::run_perf(&perf::PerfOptions {
         seed,
         quick,
         shards,
         alloc_counter: Some(alloc_count),
     });
     let doc = report.to_bench_json();
-    if let Err(e) = std::fs::write(bench_out, format!("{}\n", doc.pretty())) {
-        eprintln!("error: writing bench report to {bench_out}: {e}");
-        std::process::exit(1);
+    write_artifact(bench_out, "bench report", &format!("{}\n", doc.pretty()));
+    if let Some(path) = prom_out {
+        write_artifact(path, "profiler metrics", &instrumented.prometheus());
+    }
+    if let Some(path) = trace_out {
+        let trace = format!("{}\n", instrumented.perfetto());
+        write_artifact(path, "Perfetto trace", &trace);
     }
     if json {
         println!("{}", doc.pretty());
@@ -545,130 +503,20 @@ fn run_perf_command(seed: u64, quick: bool, shards: usize, bench_out: &str, json
             if quick { "quick" } else { "full" }
         );
         println!("{}", report.to_report());
+        println!("{}", instrumented.diagnosis());
         println!("bench report written to {bench_out}");
-    }
-    if !report.deterministic {
-        eprintln!("error: two same-seed podscale runs diverged — engine is non-deterministic");
-        std::process::exit(1);
-    }
-    if !report.sharding.digests_identical {
-        eprintln!(
-            "error: telemetry digests diverged across shard counts — the parallel engine broke determinism"
-        );
-        std::process::exit(1);
-    }
-}
-
-fn run_profile_command(
-    seed: u64,
-    quick: bool,
-    shards: usize,
-    prom_out: Option<&str>,
-    trace_out: Option<&str>,
-    json: bool,
-) {
-    let run = profile::run_profile(&profile::ProfileOptions {
-        seed,
-        quick,
-        shards,
-    });
-    if let Some(path) = prom_out {
-        if let Err(e) = std::fs::write(path, run.prometheus()) {
-            eprintln!("error: writing profiler metrics to {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = trace_out {
-        if let Err(e) = std::fs::write(path, format!("{}\n", run.wallclock_trace())) {
-            eprintln!("error: writing wall-clock trace to {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if json {
-        println!("{}", run.to_json().pretty());
-    } else {
-        println!(
-            "UStore engine wall-clock profile (seed {seed}, {} mode, {shards} shards)\n",
-            if quick { "quick" } else { "full" }
-        );
-        println!("{}", run.diagnosis());
         if let Some(path) = trace_out {
-            println!("wall-clock Perfetto trace written to {path}");
+            println!("Perfetto trace written to {path}");
         }
         if let Some(path) = prom_out {
             println!("profiler metrics written to {path}");
         }
     }
-    if !run.digest_matches_unprofiled {
-        eprintln!(
-            "error: telemetry digest changed with profiling on ({:016x} != {:016x}) — the profiler leaked into the simulation",
-            run.sharded.digest, run.unprofiled_digest
-        );
-        std::process::exit(1);
+    let failures = report.gate_failures();
+    for f in &failures {
+        eprintln!("error: {f}");
     }
-}
-
-fn run_slo_command(
-    seed: u64,
-    quick: bool,
-    shards: usize,
-    slo_out: Option<&str>,
-    trace_out: Option<&str>,
-    json: bool,
-) {
-    let run = slo::run_slo(&slo::SloOptions {
-        seed,
-        quick,
-        shards,
-        sample_every: ustore_sim::reqtrace::DEFAULT_SAMPLE_EVERY,
-        exemplars: ustore_sim::reqtrace::DEFAULT_EXEMPLARS,
-    });
-    if let Some(path) = slo_out {
-        if let Err(e) = std::fs::write(path, format!("{}\n", run.to_json().pretty())) {
-            eprintln!("error: writing slo report to {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = trace_out {
-        if let Err(e) = std::fs::write(path, format!("{}\n", run.request_trace())) {
-            eprintln!("error: writing request trace to {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if json {
-        println!("{}", run.to_json().pretty());
-    } else {
-        println!(
-            "UStore request-lifecycle SLO (seed {seed}, {} mode, {shards} shards)\n",
-            if quick { "quick" } else { "full" }
-        );
-        println!("{}", run.decomposition());
-        if let Some(path) = slo_out {
-            println!("slo report written to {path}");
-        }
-        if let Some(path) = trace_out {
-            println!("request-exemplar Perfetto trace written to {path}");
-        }
-    }
-    if !run.digest_matches_untraced {
-        eprintln!(
-            "error: telemetry digest changed with tracing on ({:016x} != {:016x}) — the tracer leaked into the simulation",
-            run.sharded.digest, run.untraced_digest
-        );
-        std::process::exit(1);
-    }
-    if !run.leased_digest_matches {
-        eprintln!(
-            "error: telemetry digest changed with tracing on in the partitioned+leased run ({:016x} != {:016x})",
-            run.leased.digest, run.leased_untraced_digest
-        );
-        std::process::exit(1);
-    }
-    if !matches!(run.lease_hit_rate, Some(r) if r > 0.0) {
-        eprintln!(
-            "error: the leased run never hit the location-lease cache (hit rate {:?}) — the lease path is dead",
-            run.lease_hit_rate
-        );
+    if !failures.is_empty() {
         std::process::exit(1);
     }
 }
@@ -693,10 +541,11 @@ fn run_fuzz_command(
         replay,
     });
     if let Some(path) = fuzz_out {
-        if let Err(e) = std::fs::write(path, format!("{}\n", run.to_json().pretty())) {
-            eprintln!("error: writing fuzz report to {path}: {e}");
-            std::process::exit(1);
-        }
+        write_artifact(
+            path,
+            "fuzz report",
+            &format!("{}\n", run.to_json().pretty()),
+        );
     }
     if json {
         println!("{}", run.to_json().pretty());
@@ -728,6 +577,14 @@ fn run_fuzz_command(
     }
     if synthetic_fail && run.failing.is_none() {
         eprintln!("error: --synthetic-fail planted a fault the oracle failed to catch");
+        std::process::exit(1);
+    }
+}
+
+/// Writes one output file, exiting with status 1 if it cannot.
+fn write_artifact(path: &str, what: &str, content: &str) {
+    if let Err(e) = std::fs::write(path, content) {
+        eprintln!("error: writing {what} to {path}: {e}");
         std::process::exit(1);
     }
 }
@@ -767,9 +624,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: repro [experiment ...] [--seed N] [--repeats N] [--jobs N] [--shards N] [--partitions N] [--json]\n\
          \x20            [--prom-out FILE] [--trace-out FILE] [--ts-out FILE]\n\
-         \x20      repro perf [--quick] [--seed N] [--shards N] [--bench-out FILE] [--json]\n\
-         \x20      repro profile [--quick] [--seed N] [--shards N] [--prom-out FILE] [--trace-out FILE] [--json]\n\
-         \x20      repro slo [--quick] [--seed N] [--shards N] [--slo-out FILE] [--trace-out FILE] [--json]\n\
+         \x20      repro perf [--quick] [--seed N] [--shards N] [--bench-out FILE] [--prom-out FILE] [--trace-out FILE] [--json]\n\
          \x20      repro fuzz [--quick] [--seed N] [--shards N] [--campaigns N] [--replay SEED] [--synthetic-fail] [--fuzz-out FILE] [--json]\n\
          experiments: table1 table2 table3 table4 table5 fig5 fig6 duplex failover degraded hdfs rolling ablation podscale megapod all\n\
          (podscale — 256 hosts / 1024 disks — and megapod — 1024 hosts / 4096 disks — are not part of `all`;\n\

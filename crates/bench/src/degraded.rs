@@ -82,7 +82,7 @@ pub struct DegradedRun {
 }
 
 /// Runs the degraded-disk scenario once.
-pub fn run_degraded_traced(seed: u64) -> DegradedRun {
+pub fn run_degraded(seed: u64) -> DegradedRun {
     let s = UStoreSystem::prototype(seed);
     s.sim.with_trace(|t| t.set_min_level(TraceLevel::Info));
     s.settle();
@@ -278,15 +278,10 @@ pub fn run_degraded_traced(seed: u64) -> DegradedRun {
     }
 }
 
-/// Regenerates the degraded-disk report.
-pub fn degraded_report(seed: u64) -> Report {
-    degraded_report_traced(seed).0
-}
-
-/// Like [`degraded_report`], also returning the run's telemetry and
+/// Regenerates the degraded-disk report, with the run's telemetry and
 /// artifacts.
-pub fn degraded_report_traced(seed: u64) -> (Report, Json, TelemetryArtifacts) {
-    let run = run_degraded_traced(seed);
+pub fn degraded_report(seed: u64) -> (Report, Json, TelemetryArtifacts) {
+    let run = run_degraded(seed);
     let t = &run.timing;
     let rows = vec![
         Row::measured_only("detection (onset→escalate)", t.detection.as_secs_f64(), "s"),
@@ -309,7 +304,7 @@ mod tests {
 
     #[test]
     fn watchdog_beats_the_hard_failure() {
-        let run = run_degraded_traced(501);
+        let run = run_degraded(501);
         let t = &run.timing;
         assert!(t.recovered, "recovery completed");
         assert!(t.events > 0, "health events recorded");
@@ -328,7 +323,7 @@ mod tests {
 
     #[test]
     fn phase_timeline_is_readable_from_exported_series() {
-        let run = run_degraded_traced(502);
+        let run = run_degraded(502);
         assert!(run.timing.recovered);
         let timeline = run
             .telemetry

@@ -52,17 +52,13 @@ pub struct FailoverRun {
     pub artifacts: TelemetryArtifacts,
 }
 
-/// Runs one full failover and measures the breakdown.
+/// Runs one full failover and measures the breakdown, with the run's
+/// telemetry.
 ///
 /// `victim_index` selects which of the four hosts to kill (the paper's
 /// claim is "arbitrary single host failure", including the hosts carrying
 /// the active microcontroller and the primary Controller).
-pub fn run_failover(seed: u64, victim_index: u32) -> FailoverTiming {
-    run_failover_traced(seed, victim_index).timing
-}
-
-/// Like [`run_failover`], also returning the run's telemetry.
-pub fn run_failover_traced(seed: u64, victim_index: u32) -> FailoverRun {
+pub fn run_failover(seed: u64, victim_index: u32) -> FailoverRun {
     let s = UStoreSystem::prototype(seed);
     s.sim.with_trace(|t| t.set_min_level(TraceLevel::Info));
     s.settle();
@@ -194,20 +190,15 @@ pub fn run_failover_traced(seed: u64, victim_index: u32) -> FailoverRun {
     }
 }
 
-/// Regenerates the failover headline (averaged over all four victims).
-pub fn failover_report(seed: u64) -> Report {
-    failover_report_traced(seed).0
-}
-
-/// Like [`failover_report`], also returning the first run's telemetry and
-/// exported artifacts.
-pub fn failover_report_traced(seed: u64) -> (Report, Json, TelemetryArtifacts) {
+/// Regenerates the failover headline (averaged over all four victims),
+/// with the first run's telemetry and exported artifacts.
+pub fn failover_report(seed: u64) -> (Report, Json, TelemetryArtifacts) {
     let mut rows = Vec::new();
     let mut totals = Duration::ZERO;
     let mut count = 0u32;
     let mut telemetry = None;
     for v in 0..4u32 {
-        let run = run_failover_traced(seed.wrapping_add(u64::from(v)), u32::MAX);
+        let run = run_failover(seed.wrapping_add(u64::from(v)), u32::MAX);
         let t = run.timing.clone();
         if telemetry.is_none() {
             telemetry = Some((run.telemetry, run.artifacts));
@@ -256,7 +247,7 @@ mod tests {
 
     #[test]
     fn recovery_lands_near_paper_headline() {
-        let t = run_failover(401, u32::MAX);
+        let t = run_failover(401, u32::MAX).timing;
         let secs = t.total.as_secs_f64();
         assert!(
             (4.0..9.0).contains(&secs),
@@ -268,7 +259,7 @@ mod tests {
 
     #[test]
     fn telemetry_span_tree_sums_to_total_and_has_residency_gauges() {
-        let run = run_failover_traced(403, u32::MAX);
+        let run = run_failover(403, u32::MAX);
         let tele = &run.telemetry;
 
         // The failover is a parented span tree whose phase durations sum
@@ -330,7 +321,7 @@ mod tests {
     fn arbitrary_victim_including_controller_host() {
         // Host 0 carries the active microcontroller and primary
         // Controller; killing it exercises both backup paths.
-        let t = run_failover(402, 0);
+        let t = run_failover(402, 0).timing;
         assert_eq!(t.victim, HostId(0));
         assert!(t.total < Duration::from_secs(12), "{:?}", t.total);
     }

@@ -416,6 +416,13 @@ fn pod_digest(worlds: &[WorldTelemetry]) -> u64 {
         .fold(0, |acc, w| acc.rotate_left(7) ^ world_digest(w))
 }
 
+/// The diagnosis line of a probe-purity gate:
+/// `determinism: <probed> digest D1 == <plain> D2` (`!=` on divergence).
+pub(crate) fn digest_gate(probed: &str, digest: u64, plain: &str, plain_digest: u64) -> String {
+    let rel = if digest == plain_digest { "==" } else { "!=" };
+    format!("determinism: {probed} digest {digest:016x} {rel} {plain} {plain_digest:016x}")
+}
+
 /// What one engine produced, before the shared fold and report.
 struct EngineRun {
     worlds: Vec<WorldTelemetry>,

@@ -97,7 +97,9 @@ impl TelemetryArtifacts {
         let snapshot = sim.metrics_snapshot();
         TelemetryArtifacts {
             prometheus: export::prometheus(&snapshot),
-            chrome_trace: sim.with_spans(|t| export::chrome_trace(t)).to_string(),
+            chrome_trace: sim
+                .with_spans(|t| export::chrome_trace(t, None, None))
+                .to_string(),
             timeseries_csv: scraper.to_csv(),
         }
     }

@@ -301,7 +301,7 @@ impl WorldCtx {
         sim.with_trace(|t| t.set_min_level(self.cfg.trace_level));
         sim.set_reqtracer(self.tracer.clone());
         let net = Network::new(sys.net.clone());
-        net.enable_shard_routing_with_lookahead(id, self.placement.clone(), self.lookahead.clone());
+        net.enable_shard_routing(id, self.placement.clone(), self.lookahead.clone());
         if let Some(m) = &self.traffic {
             net.set_traffic_matrix(m.clone());
         }
@@ -468,7 +468,7 @@ impl ShardedPod {
             }
         }
 
-        let coordinator = ShardCoordinator::with_matrix(matrix, local, remote, profiler.clone());
+        let coordinator = ShardCoordinator::new(matrix, local, remote, profiler.clone());
         ShardedPod {
             coordinator,
             sim,

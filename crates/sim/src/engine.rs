@@ -415,7 +415,7 @@ impl Sim {
     /// phase for `world`, with an events-per-window sample and a slice on
     /// a `classic-engine` Perfetto track. This is the classic-path
     /// equivalent of the shard coordinator's phase timers, so the two
-    /// engines are directly comparable in `repro profile`.
+    /// engines are directly comparable in `repro perf`.
     ///
     /// The profiler observes only the monotonic clock and the processed
     /// counter — simulation state, RNG draws and telemetry are untouched.

@@ -7,10 +7,10 @@
 //!   text format (`promtool check metrics` clean; scrapeable if served);
 //! - [`chrome_trace`] renders a [`SpanTracer`] as Chrome trace-event JSON,
 //!   loadable in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`
-//!   to see the failover span tree on a timeline;
-//! - [`chrome_trace_with_wallclock`] additionally renders the wall-clock
-//!   profiler's per-thread phase timelines as a second Perfetto process, so
-//!   sim-time spans and engine wall time sit side by side in one file;
+//!   to see the failover span tree on a timeline; given a profiler or
+//!   request-trace snapshot it adds the engine's per-thread wall-clock
+//!   timelines and the slowest requests' stage timelines as two more
+//!   Perfetto processes in the same file;
 //! - [`prometheus_prof`] renders a profiler snapshot (and optional traffic
 //!   matrix) under the distinct `ustore_prof_` prefix.
 //!
@@ -166,16 +166,40 @@ pub fn prometheus(metrics: &MetricsRegistry) -> String {
     out
 }
 
-/// Renders the span log as Chrome trace-event JSON
-/// (`{"traceEvents": [...]}`), loadable in Perfetto or `chrome://tracing`.
+/// Renders the span log, and optionally the wall-clock profiler's thread
+/// timelines and the request tracer's slowest-request exemplars, as one
+/// Chrome trace-event document (`{"traceEvents": [...]}`), loadable in
+/// Perfetto or `chrome://tracing`.
 ///
-/// Mapping: one process (`pid` 1), one track (`tid`) per component in
-/// sorted order, named via `thread_name` metadata events. Closed spans are
-/// complete events (`"ph": "X"`) with microsecond `ts`/`dur`; still-open
-/// spans are begin events (`"ph": "B"`) so a crash mid-operation is visible
-/// as an unterminated slice. Span id, parent and attributes land in
-/// `args`, so clicking a failover slice shows the victim host.
-pub fn chrome_trace(spans: &SpanTracer) -> Json {
+/// - `pid` 1 (`sim-time`): one track (`tid`) per span component in sorted
+///   order, named via `thread_name` metadata events. Closed spans are
+///   complete events (`"ph": "X"`) with microsecond `ts`/`dur`; still-open
+///   spans are begin events (`"ph": "B"`) so a crash mid-operation is
+///   visible as an unterminated slice. Span id, parent and attributes land
+///   in `args`, so clicking a failover slice shows the victim host.
+/// - `pid` 2 (`wall-clock`, with `prof`): one track per engine thread
+///   (shard workers, coordinator, classic engine), with `execute` /
+///   `barrier_wait` / ... slices positioned by monotonic wall time since
+///   profiling started. Tracks are ordered by sorted label so the layout
+///   is stable across runs even though the slice values are not. Each
+///   track's `thread_name` metadata carries a `dropped_slices` arg when
+///   the per-track slice cap was hit.
+/// - `pid` 3 (`requests`, with `requests`): one track per exemplar,
+///   slowest first. Each track holds a root `request` slice spanning the
+///   full TTFB with the per-stage segments nested inside it (both in
+///   simulated time, so the exemplars line up with the spans on `pid` 1).
+///   A final `annotations` track carries cluster events (watchdog
+///   escalations) as instant markers.
+///
+/// With both options `None` the document is the span tracks alone, with
+/// no `process_name` metadata. The sim-time and wall-clock domains share
+/// one timeline axis in Perfetto but must not be compared against each
+/// other — a sim microsecond is not a wall microsecond.
+pub fn chrome_trace(
+    spans: &SpanTracer,
+    prof: Option<&ProfSnapshot>,
+    requests: Option<&TraceSnapshot>,
+) -> Json {
     let mut tids: BTreeMap<&str, u64> = BTreeMap::new();
     for s in spans.spans() {
         let next = tids.len() as u64 + 1;
@@ -188,53 +212,33 @@ pub fn chrome_trace(spans: &SpanTracer) -> Json {
 
     let mut events = Vec::new();
     for (component, tid) in &tids {
-        events.push(Json::obj([
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::u64(1)),
-            ("tid", Json::u64(*tid)),
-            ("args", Json::obj([("name", Json::str(*component))])),
-        ]));
+        events.push(metadata("thread_name", 1, *tid, named(component)));
     }
     for s in spans.spans() {
         events.push(span_event(s, tids[&*s.component]));
     }
+
+    // Processes are named only once a second clock domain joins the
+    // spans, so the span-only export stays exactly the sim-time tracks.
+    let processes = [
+        (1u64, "sim-time", prof.is_some() || requests.is_some()),
+        (2, "wall-clock", prof.is_some()),
+        (3, "requests", requests.is_some()),
+    ];
+    for (pid, name, _) in processes.into_iter().filter(|&(_, _, on)| on) {
+        events.push(metadata("process_name", pid, 0, named(name)));
+    }
+    if let Some(prof) = prof {
+        wallclock_events(prof, &mut events);
+    }
+    if let Some(trace) = requests {
+        request_events(trace, &mut events);
+    }
     Json::obj([("traceEvents", Json::arr(events))])
 }
 
-/// Renders the span log plus the wall-clock profiler's thread timelines as
-/// one Chrome trace-event document with two clock domains:
-///
-/// - `pid` 1 (`sim-time`): the [`chrome_trace`] export — spans positioned
-///   by simulated time;
-/// - `pid` 2 (`wall-clock`): one track per engine thread (shard workers,
-///   coordinator, classic engine), with `execute` / `barrier_wait` / ...
-///   slices positioned by monotonic wall time since profiling started.
-///
-/// The two domains share one timeline axis in Perfetto but must not be
-/// compared against each other — a sim microsecond is not a wall
-/// microsecond. Tracks are ordered by sorted label so the layout is stable
-/// across runs even though the slice values are not. Each track's
-/// `thread_name` metadata carries a `dropped_slices` arg when the per-track
-/// slice cap was hit.
-pub fn chrome_trace_with_wallclock(spans: &SpanTracer, prof: &ProfSnapshot) -> Json {
-    let base = chrome_trace(spans);
-    let mut events: Vec<Json> = base
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .map(<[Json]>::to_vec)
-        .unwrap_or_default();
-
-    for (pid, name) in [(1u64, "sim-time"), (2u64, "wall-clock")] {
-        events.push(Json::obj([
-            ("name", Json::str("process_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::u64(pid)),
-            ("tid", Json::u64(0)),
-            ("args", Json::obj([("name", Json::str(name))])),
-        ]));
-    }
-
+/// The `pid` 2 thread tracks of [`chrome_trace`].
+fn wallclock_events(prof: &ProfSnapshot, events: &mut Vec<Json>) {
     // Stable track order: sort by label (labels are unique per registration
     // in practice; ties keep registration order via stable sort).
     let mut order: Vec<usize> = (0..prof.tracks.len()).collect();
@@ -242,67 +246,25 @@ pub fn chrome_trace_with_wallclock(spans: &SpanTracer, prof: &ProfSnapshot) -> J
     for (i, &t) in order.iter().enumerate() {
         let track = &prof.tracks[t];
         let tid = i as u64 + 1;
-        let mut args = Json::obj([("name", Json::str(&*track.label))]);
+        let mut args = named(&track.label);
         if track.dropped > 0 {
             args.insert("dropped_slices", Json::u64(track.dropped));
         }
-        events.push(Json::obj([
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::u64(2)),
-            ("tid", Json::u64(tid)),
-            ("args", args),
-        ]));
+        events.push(metadata("thread_name", 2, tid, args));
         for s in &track.slices {
-            let mut ev = Json::obj([
-                ("name", Json::str(s.phase.name())),
-                ("cat", Json::str("wallprof")),
-                ("ph", Json::str("X")),
-                ("ts", Json::f64(s.start_ns as f64 / 1000.0)),
-                ("dur", Json::f64(s.dur_ns as f64 / 1000.0)),
-                ("pid", Json::u64(2)),
-                ("tid", Json::u64(tid)),
-            ]);
+            let mut ev = slice(s.phase.name(), "wallprof", s.start_ns, s.dur_ns, 2, tid);
             if s.world != usize::MAX {
                 ev.insert("args", Json::obj([("world", Json::u64(s.world as u64))]));
             }
             events.push(ev);
         }
     }
-    Json::obj([("traceEvents", Json::arr(events))])
 }
 
-/// Renders the span log plus the request tracer's slowest-request
-/// exemplars as one Chrome trace-event document:
-///
-/// - `pid` 1 (`sim-time`): the [`chrome_trace`] export;
-/// - `pid` 3 (`requests`): one track per exemplar, slowest first. Each
-///   track holds a root `request` slice spanning the full TTFB with the
-///   per-stage segments nested inside it (both in simulated time, so the
-///   exemplars line up with any failover spans on `pid` 1). A final
-///   `annotations` track carries cluster events (watchdog escalations) as
-///   instant markers.
-///
-/// Track order and naming are deterministic: exemplars are already sorted
-/// by `(ttfb, id)` in the snapshot.
-pub fn chrome_trace_with_requests(spans: &SpanTracer, trace: &TraceSnapshot) -> Json {
-    let base = chrome_trace(spans);
-    let mut events: Vec<Json> = base
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .map(<[Json]>::to_vec)
-        .unwrap_or_default();
-
-    for (pid, name) in [(1u64, "sim-time"), (3u64, "requests")] {
-        events.push(Json::obj([
-            ("name", Json::str("process_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::u64(pid)),
-            ("tid", Json::u64(0)),
-            ("args", Json::obj([("name", Json::str(name))])),
-        ]));
-    }
-
+/// The `pid` 3 exemplar tracks of [`chrome_trace`]. Track order and naming
+/// are deterministic: exemplars are already sorted by `(ttfb, id)` in the
+/// snapshot.
+fn request_events(trace: &TraceSnapshot, events: &mut Vec<Json>) {
     for (i, r) in trace.exemplars.iter().enumerate() {
         let tid = i as u64 + 1;
         let label = format!(
@@ -312,54 +274,28 @@ pub fn chrome_trace_with_requests(spans: &SpanTracer, trace: &TraceSnapshot) -> 
             r.ttfb_ns as f64 / 1e6,
             if r.cold { ", cold" } else { "" }
         );
-        events.push(Json::obj([
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::u64(3)),
-            ("tid", Json::u64(tid)),
-            ("args", Json::obj([("name", Json::str(label))])),
-        ]));
-        events.push(Json::obj([
-            ("name", Json::str("request")),
-            ("cat", Json::str("reqtrace")),
-            ("ph", Json::str("X")),
-            ("ts", Json::f64(r.start_ns as f64 / 1000.0)),
-            ("dur", Json::f64(r.ttfb_ns as f64 / 1000.0)),
-            ("pid", Json::u64(3)),
-            ("tid", Json::u64(tid)),
-            (
-                "args",
-                Json::obj([
-                    ("id", Json::u64(r.id)),
-                    ("kind", Json::str(r.kind.name())),
-                    ("attempts", Json::u64(u64::from(r.attempts))),
-                    ("cold", Json::Bool(r.cold)),
-                    ("dominant", Json::str(r.dominant().name())),
-                ]),
-            ),
-        ]));
+        events.push(metadata("thread_name", 3, tid, named(&label)));
+        let mut root = slice("request", "reqtrace", r.start_ns, r.ttfb_ns, 3, tid);
+        root.insert(
+            "args",
+            Json::obj([
+                ("id", Json::u64(r.id)),
+                ("kind", Json::str(r.kind.name())),
+                ("attempts", Json::u64(u64::from(r.attempts))),
+                ("cold", Json::Bool(r.cold)),
+                ("dominant", Json::str(r.dominant().name())),
+            ]),
+        );
+        events.push(root);
         for seg in &r.segments {
-            events.push(Json::obj([
-                ("name", Json::str(seg.stage.name())),
-                ("cat", Json::str("reqtrace")),
-                ("ph", Json::str("X")),
-                ("ts", Json::f64(seg.start_ns as f64 / 1000.0)),
-                ("dur", Json::f64(seg.dur_ns as f64 / 1000.0)),
-                ("pid", Json::u64(3)),
-                ("tid", Json::u64(tid)),
-            ]));
+            let stage = seg.stage.name();
+            events.push(slice(stage, "reqtrace", seg.start_ns, seg.dur_ns, 3, tid));
         }
     }
 
     if !trace.annotations.is_empty() {
         let tid = trace.exemplars.len() as u64 + 1;
-        events.push(Json::obj([
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::u64(3)),
-            ("tid", Json::u64(tid)),
-            ("args", Json::obj([("name", Json::str("annotations"))])),
-        ]));
+        events.push(metadata("thread_name", 3, tid, named("annotations")));
         for (ns, label) in &trace.annotations {
             events.push(Json::obj([
                 ("name", Json::str(label.as_str())),
@@ -372,7 +308,37 @@ pub fn chrome_trace_with_requests(spans: &SpanTracer, trace: &TraceSnapshot) -> 
             ]));
         }
     }
-    Json::obj([("traceEvents", Json::arr(events))])
+}
+
+/// A metadata event (`"ph": "M"`): `process_name` (with `tid` 0) or
+/// `thread_name`, its label in `args`.
+fn metadata(kind: &str, pid: u64, tid: u64, args: Json) -> Json {
+    Json::obj([
+        ("name", Json::str(kind)),
+        ("ph", Json::str("M")),
+        ("pid", Json::u64(pid)),
+        ("tid", Json::u64(tid)),
+        ("args", args),
+    ])
+}
+
+/// The `{"name": label}` args of a metadata event.
+fn named(label: &str) -> Json {
+    Json::obj([("name", Json::str(label))])
+}
+
+/// A complete slice (`"ph": "X"`) from nanosecond start and duration, in
+/// the format's microseconds.
+fn slice(name: &str, cat: &str, start_ns: u64, dur_ns: u64, pid: u64, tid: u64) -> Json {
+    Json::obj([
+        ("name", Json::str(name)),
+        ("cat", Json::str(cat)),
+        ("ph", Json::str("X")),
+        ("ts", Json::f64(start_ns as f64 / 1000.0)),
+        ("dur", Json::f64(dur_ns as f64 / 1000.0)),
+        ("pid", Json::u64(pid)),
+        ("tid", Json::u64(tid)),
+    ])
 }
 
 /// Renders a profiler snapshot (and optional cross-world traffic matrix) in
@@ -596,8 +562,9 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn chrome_trace_tracks_and_events() {
+    /// A failover root with a child on another component, plus a span
+    /// still open at export time.
+    fn failover_spans() -> SpanTracer {
         let mut t = SpanTracer::new();
         let root = t.start(SimTime::from_millis(1), "master-0", "failover", None);
         t.set_attr(root, "victim", "u0/h1");
@@ -609,10 +576,14 @@ mod tests {
         );
         t.end(SimTime::from_millis(5), child);
         t.end(SimTime::from_millis(9), root);
-        let open = t.start(SimTime::from_millis(10), "master-0", "op", None);
-        let _ = open;
+        t.start(SimTime::from_millis(10), "master-0", "op", None);
+        t
+    }
 
-        let doc = chrome_trace(&t);
+    #[test]
+    fn chrome_trace_tracks_and_events() {
+        let t = failover_spans();
+        let doc = chrome_trace(&t, None, None);
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         // 2 components -> 2 metadata events, plus 3 spans.
         assert_eq!(events.len(), 5);
@@ -648,7 +619,7 @@ mod tests {
 
     #[test]
     fn wallclock_trace_adds_second_process_with_thread_tracks() {
-        use crate::prof::{Phase, Profiler};
+        use crate::prof::Profiler;
 
         let prof = Profiler::on(1);
         let track = prof.register_track("worker-0".to_string());
@@ -660,7 +631,7 @@ mod tests {
         let a = t.start(SimTime::from_millis(1), "master-0", "op", None);
         t.end(SimTime::from_millis(2), a);
 
-        let doc = chrome_trace_with_wallclock(&t, &snap);
+        let doc = chrome_trace(&t, Some(&snap), None);
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         let pid2: Vec<_> = events
             .iter()
@@ -743,7 +714,7 @@ mod tests {
         let snap = tr.snapshot().unwrap();
 
         let spans = SpanTracer::new();
-        let doc = chrome_trace_with_requests(&spans, &snap);
+        let doc = chrome_trace(&spans, None, Some(&snap));
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         let pid3: Vec<_> = events
             .iter()
@@ -783,10 +754,95 @@ mod tests {
         t.end(SimTime::from_millis(1), a);
         let b = t.start(SimTime::from_millis(2), "alpha", "op", None);
         t.end(SimTime::from_millis(3), b);
-        let one = chrome_trace(&t).to_string();
-        let two = chrome_trace(&t.clone()).to_string();
+        let one = chrome_trace(&t, None, None).to_string();
+        let two = chrome_trace(&t.clone(), None, None).to_string();
         assert_eq!(one, two);
         // alpha gets tid 1 (sorted), despite starting later.
         assert!(one.find("alpha").unwrap() < one.find("zeta").unwrap());
+    }
+
+    #[test]
+    fn span_only_export_is_the_span_tracks_byte_for_byte() {
+        let expected = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"fabric"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"master-0"}},"#,
+            r#"{"name":"failover","cat":"master-0","ph":"X","ts":1000,"dur":8000,"pid":1,"tid":2,"#,
+            r#""args":{"span_id":1,"victim":"u0/h1"}},"#,
+            r#"{"name":"fabric.execute","cat":"fabric","ph":"X","ts":2000,"dur":3000,"pid":1,"#,
+            r#""tid":1,"args":{"span_id":2,"parent_span_id":1}},"#,
+            r#"{"name":"op","cat":"master-0","ph":"B","ts":10000,"pid":1,"tid":2,"#,
+            r#""args":{"span_id":3}}]}"#,
+        );
+        assert_eq!(
+            chrome_trace(&failover_spans(), None, None).to_string(),
+            expected
+        );
+    }
+
+    #[test]
+    fn full_export_names_three_processes_and_orders_tracks_stably() {
+        use crate::prof::Profiler;
+        use crate::reqtrace::{ReqKind, RequestTracer, Stage};
+
+        let prof = Profiler::on(2);
+        // Registered out of label order: the export sorts by label.
+        let shard = prof.register_track("sim-shard-1".to_string());
+        shard.slice(Phase::Execute, 1, 10, 5);
+        let coordinator = prof.register_track("coordinator".to_string());
+        coordinator.slice(Phase::BarrierWait, usize::MAX, 0, 20);
+        let prof = prof.snapshot().expect("profiler is on");
+
+        let tr = RequestTracer::on(1, 4);
+        for (start, end) in [(1, 3), (2, 9)] {
+            let id = tr
+                .begin(ReqKind::Read, SimTime::from_millis(start))
+                .unwrap();
+            let stamp = tr.dispatch(id, SimTime::from_millis(start));
+            tr.mark(stamp, Stage::Seek, SimTime::from_millis(end));
+            tr.complete(id, SimTime::from_millis(end));
+        }
+        let reqs = tr.snapshot().unwrap();
+        let t = failover_spans();
+
+        let doc = chrome_trace(&t, Some(&prof), Some(&reqs));
+        assert_eq!(
+            doc.to_string(),
+            chrome_trace(&t, Some(&prof), Some(&reqs)).to_string()
+        );
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let names = |kind: &str| -> Vec<(u64, u64, String)> {
+            events
+                .iter()
+                .filter(|e| e.get("name").and_then(Json::as_str) == Some(kind))
+                .map(|e| {
+                    let n = |k: &str| e.get(k).and_then(Json::as_f64).unwrap() as u64;
+                    let label = e.get("args").and_then(|a| a.get("name"));
+                    (
+                        n("pid"),
+                        n("tid"),
+                        label.and_then(Json::as_str).unwrap().to_string(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(
+            names("process_name"),
+            [
+                (1, 0, "sim-time".to_string()),
+                (2, 0, "wall-clock".to_string()),
+                (3, 0, "requests".to_string()),
+            ]
+        );
+        let threads = names("thread_name");
+        let label = |i: usize| (threads[i].0, threads[i].1, threads[i].2.as_str());
+        assert_eq!(label(0), (1, 1, "fabric"));
+        assert_eq!(label(1), (1, 2, "master-0"));
+        assert_eq!(label(2), (2, 1, "coordinator"));
+        assert_eq!(label(3), (2, 2, "sim-shard-1"));
+        // Exemplars slowest first: the 7 ms request owns track 1.
+        assert_eq!(label(4), (3, 1, "req 1 (read, 7.00 ms)"));
+        assert_eq!(label(5), (3, 2, "req 0 (read, 2.00 ms)"));
+        assert_eq!(threads.len(), 6);
     }
 }

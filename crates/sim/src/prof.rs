@@ -417,7 +417,7 @@ impl WorldProf {
     }
 
     /// Sum of all phase accumulators (should tile the measured wall time
-    /// of the run window; `repro profile` reports the coverage fraction).
+    /// of the run window; `repro perf` reports the coverage fraction).
     pub fn total_ns(&self) -> u64 {
         self.phase_ns.iter().sum()
     }
@@ -500,7 +500,7 @@ impl ProfSnapshot {
         h
     }
 
-    /// Stable JSON form (BENCH `profile` section, `repro profile --json`).
+    /// Stable JSON form (BENCH `profile` section).
     pub fn to_json(&self) -> Json {
         let phases = Json::obj(
             Phase::ALL.map(|p| (p.name(), Json::f64(self.phase_total_ns(p) as f64 / 1e9))),

@@ -5,7 +5,7 @@
 //! typed stage intervals: client queue, Master metadata lookup, network
 //! transit, endpoint queue, **spin-up wait**, seek, transfer, and retry.
 //! At completion the per-request stage vector is folded into per-stage
-//! histograms and a dominant-stage counter, so `repro slo` can answer
+//! histograms and a dominant-stage counter, so `repro perf` can answer
 //! "where did the p99.9 read spend its time?" (ROADMAP item 4).
 //!
 //! Accounting model — *mark* and *absorb*:
@@ -747,7 +747,7 @@ impl TraceSnapshot {
             .min_by(|a, b| a.partial_cmp(b).expect("coverage is finite"))
     }
 
-    /// Stable JSON form (BENCH `slo` section, `repro slo --json`).
+    /// Stable JSON form (BENCH `slo` section).
     pub fn to_json(&self) -> Json {
         let mut out = Json::obj([
             ("completed", Json::u64(self.seen)),

@@ -398,8 +398,8 @@ pub struct ShardCoordinator<M: Send + 'static> {
     epochs: u64,
     sync_rounds: u64,
     cross_messages: u64,
-    /// Wall-clock profiler (inert unless built via [`Self::new_profiled`]
-    /// with an active handle). Probes cost one `Option` branch when off.
+    /// Wall-clock profiler (inert unless [`Self::new`] was given an
+    /// active handle). Probes cost one `Option` branch when off.
     prof: Profiler,
     /// The coordinator thread's Perfetto track.
     track: ProfTrack,
@@ -408,47 +408,14 @@ pub struct ShardCoordinator<M: Send + 'static> {
 }
 
 impl<M: Send + 'static> ShardCoordinator<M> {
-    /// Builds a coordinator with a uniform lookahead matrix — every pair
-    /// of worlds reachable at `lookahead`, the behaviour of the original
-    /// lockstep engine (but with adaptive epoch scheduling).
+    /// Builds a coordinator over the worlds in `local` (run on the calling
+    /// thread) and `remote` (one OS thread per inner vector, each world
+    /// built on its owning thread), scheduled by the per-pair
+    /// [`LookaheadMatrix`] (pass [`LookaheadMatrix::uniform`] for every
+    /// pair reachable at one lookahead) with a wall-clock [`Profiler`].
     ///
     /// World ids must be unique and dense in `0..world_count` where
     /// `world_count` is the total number of worlds across all shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lookahead` is zero (there would be no safe epoch
-    /// length) or if world ids are duplicated or out of range.
-    pub fn new(
-        lookahead: Duration,
-        local: Vec<(usize, Box<dyn ShardWorld<Msg = M>>)>,
-        remote: Vec<Vec<(usize, WorldBuilder<M>)>>,
-    ) -> Self {
-        Self::new_profiled(lookahead, local, remote, Profiler::off())
-    }
-
-    /// Like [`Self::new`], but with a wall-clock [`Profiler`] attached.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::new`].
-    pub fn new_profiled(
-        lookahead: Duration,
-        local: Vec<(usize, Box<dyn ShardWorld<Msg = M>>)>,
-        remote: Vec<Vec<(usize, WorldBuilder<M>)>>,
-        prof: Profiler,
-    ) -> Self {
-        assert!(
-            lookahead > Duration::ZERO,
-            "shard coordinator needs a positive lookahead"
-        );
-        let world_count = local.len() + remote.iter().map(Vec::len).sum::<usize>();
-        let matrix = Arc::new(LookaheadMatrix::uniform(world_count, lookahead));
-        Self::with_matrix(matrix, local, remote, prof)
-    }
-
-    /// Builds a coordinator with an explicit per-pair [`LookaheadMatrix`]
-    /// and a wall-clock [`Profiler`].
     ///
     /// An active profiler times every engine phase (execute, outbox
     /// drain, barrier wait, merge, idle-jump) per world, records window
@@ -460,7 +427,7 @@ impl<M: Send + 'static> ShardCoordinator<M> {
     ///
     /// Panics if the matrix does not cover exactly the coordinator's
     /// worlds or if world ids are duplicated or out of range.
-    pub fn with_matrix(
+    pub fn new(
         matrix: Arc<LookaheadMatrix>,
         local: Vec<(usize, Box<dyn ShardWorld<Msg = M>>)>,
         remote: Vec<Vec<(usize, WorldBuilder<M>)>>,
@@ -1175,7 +1142,8 @@ mod tests {
         const WORLDS: usize = 4;
         const TICKS: u32 = 25;
         let (local, remote) = ring_shards(shards, WORLDS, TICKS);
-        let mut coord = ShardCoordinator::new(LOOKAHEAD, local, remote);
+        let matrix = Arc::new(LookaheadMatrix::uniform(WORLDS, LOOKAHEAD));
+        let mut coord = ShardCoordinator::new(matrix, local, remote, Profiler::off());
         coord.run_until(SimTime::from_millis(10));
         assert!(coord.epochs() > 0);
         assert!(coord.sync_rounds() >= coord.epochs() - 1);
@@ -1209,8 +1177,7 @@ mod tests {
             for id in 0..WORLDS {
                 m.set(id, (id + 1) % WORLDS, LOOKAHEAD);
             }
-            let mut coord =
-                ShardCoordinator::with_matrix(Arc::new(m), local, remote, Profiler::off());
+            let mut coord = ShardCoordinator::new(Arc::new(m), local, remote, Profiler::off());
             coord.run_until(SimTime::from_millis(10));
             coord
                 .finalize()
@@ -1284,7 +1251,8 @@ mod tests {
     fn merged_clock_jumps_idle_gaps() {
         // Two worlds, one event each, far apart: the run must not need
         // deadline/lookahead epochs.
-        let mut coord = ShardCoordinator::new(LOOKAHEAD, sparse_locals(), Vec::new());
+        let matrix = Arc::new(LookaheadMatrix::uniform(2, LOOKAHEAD));
+        let mut coord = ShardCoordinator::new(matrix, sparse_locals(), Vec::new(), Profiler::off());
         coord.run_until(SimTime::from_secs(60));
         // One window per event neighbourhood plus the final jump — far
         // fewer than the 600k a fixed 100 us cadence would need.
@@ -1298,8 +1266,7 @@ mod tests {
         // all: the whole run is a single window and each world runs
         // straight to the deadline.
         let m = Arc::new(LookaheadMatrix::disconnected(2));
-        let mut coord =
-            ShardCoordinator::with_matrix(m, sparse_locals(), Vec::new(), Profiler::off());
+        let mut coord = ShardCoordinator::new(m, sparse_locals(), Vec::new(), Profiler::off());
         coord.run_until(SimTime::from_secs(60));
         assert_eq!(coord.epochs(), 1, "sync_rounds = {}", coord.sync_rounds());
         assert_eq!(coord.now(), SimTime::from_secs(60));

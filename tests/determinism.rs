@@ -4,7 +4,7 @@
 //! must produce bit-for-bit identical telemetry exports.
 
 use ustore::TracePlan;
-use ustore_bench::degraded::run_degraded_traced;
+use ustore_bench::degraded::run_degraded;
 use ustore_bench::fuzz::{run_fuzz, FuzzOptions};
 use ustore_bench::podscale::{fnv1a, run_podscale, PodConfig, PodscaleRun, RunOpts};
 use ustore_sim::faultgen::{Bathtub, FaultModelConfig, FaultSchedule, FleetShape, Weibull};
@@ -17,8 +17,8 @@ fn sharded(cfg: &PodConfig, shards: usize) -> PodscaleRun {
 
 #[test]
 fn degraded_telemetry_is_bit_for_bit_deterministic() {
-    let a = run_degraded_traced(20150707);
-    let b = run_degraded_traced(20150707);
+    let a = run_degraded(20150707);
+    let b = run_degraded(20150707);
 
     assert_eq!(
         a.events_processed, b.events_processed,
@@ -48,8 +48,8 @@ fn degraded_telemetry_is_bit_for_bit_deterministic() {
 fn degraded_telemetry_varies_with_seed() {
     // Sanity check for the test above: if the exports were constant, the
     // bit-for-bit comparison would be vacuous.
-    let a = run_degraded_traced(20150707);
-    let b = run_degraded_traced(19411207);
+    let a = run_degraded(20150707);
+    let b = run_degraded(19411207);
     assert_ne!(
         fnv1a(a.artifacts.timeseries_csv.as_bytes()),
         fnv1a(b.artifacts.timeseries_csv.as_bytes()),
@@ -299,7 +299,7 @@ fn lookahead_matrix_never_undercuts_observed_path_latency() {
     for src in 0..WORLDS {
         let sim = Sim::new(0xC0FF_EE00 + src as u64);
         let net = Network::new(cfg.clone());
-        net.enable_shard_routing_with_lookahead(src, placement.clone(), matrix.clone());
+        net.enable_shard_routing(src, placement.clone(), matrix.clone());
         net.register(&addrs[src]);
         // Advance virtual time so latencies are measured off a nonzero now.
         sim.schedule_in(Duration::from_millis(rand(50)), |_| {});
