@@ -21,7 +21,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ustore_net::{Addr, Network, Responder, RpcNode};
+use ustore_net::{Addr, Network, Payload, Responder, RpcNode};
 use ustore_sim::{CounterHandle, Sim, SimTime, TraceLevel};
 
 use crate::paxos::{AcceptReply, Acceptor, Ballot, PrepareReply, Proposer};
@@ -211,6 +211,25 @@ impl S {
             upto += 1;
         }
         upto
+    }
+
+    /// The Learn batch for each follower, in peer order: the chosen
+    /// entries in `[peer_have, commit)` that the follower has not yet
+    /// acknowledged. The replica itself gets no batch.
+    fn learn_batches(&self) -> Vec<(u32, Vec<(u64, Command)>)> {
+        let commit = self.commit_upto();
+        (0..self.peers.len() as u32)
+            .filter(|&pid| pid != self.id)
+            .map(|pid| {
+                let have = self.peer_have.get(&pid).copied().unwrap_or(0);
+                let batch = self
+                    .chosen
+                    .range(have..commit)
+                    .map(|(k, v)| (*k, v.clone()))
+                    .collect();
+                (pid, batch)
+            })
+            .collect()
     }
 }
 
@@ -457,7 +476,7 @@ impl CoordServer {
         );
         let req = PrepareReq { ballot, from_slot };
         let timeout = self.inner.borrow().config.rpc_timeout;
-        for (pid, addr) in peers.iter().enumerate() {
+        for addr in &peers {
             let this = self.clone();
             self.rpc.call::<PrepareResp>(
                 sim,
@@ -467,7 +486,6 @@ impl CoordServer {
                 128,
                 timeout,
                 move |sim, resp| {
-                    let _ = pid;
                     if let Ok(r) = resp {
                         this.on_prepare_resp(sim, ballot, (*r).clone());
                     }
@@ -564,7 +582,7 @@ impl CoordServer {
             format!("{} became leader at {ballot}", self.id()),
         );
         for (slot, cmd) in reproposals {
-            self.send_accepts(sim, ballot, slot, cmd, None);
+            self.send_accepts(sim, ballot, slot, cmd);
         }
         self.apply_ready(sim);
         self.arm_heartbeat(sim);
@@ -586,38 +604,26 @@ impl CoordServer {
     }
 
     fn broadcast_learn(&self, sim: &Sim) {
-        let (ballot, me, peers, per_peer): (Ballot, u32, Vec<Addr>, Vec<Vec<(u64, Command)>>) = {
+        let (ballot, me, peers, timeout, batches) = {
             let s = self.inner.borrow();
-            let commit = s.commit_upto();
-            let per_peer = s
-                .peers
-                .iter()
-                .enumerate()
-                .map(|(pid, _)| {
-                    let have = s.peer_have.get(&(pid as u32)).copied().unwrap_or(0);
-                    s.chosen
-                        .range(have..commit)
-                        .map(|(k, v)| (*k, v.clone()))
-                        .collect()
-                })
-                .collect();
-            (s.ballot, s.id, s.peers.clone(), per_peer)
+            (
+                s.ballot,
+                s.id,
+                s.peers.clone(),
+                s.config.rpc_timeout,
+                s.learn_batches(),
+            )
         };
-        let timeout = self.inner.borrow().config.rpc_timeout;
-        for (pid, addr) in peers.iter().enumerate() {
-            if pid as u32 == me {
-                continue;
-            }
+        for (pid, entries) in batches {
             let req = LearnReq {
                 ballot,
                 leader: me,
-                entries: per_peer[pid].clone(),
+                entries,
             };
             let this = self.clone();
-            let pid = pid as u32;
             self.rpc.call::<LearnResp>(
                 sim,
-                addr,
+                &peers[pid as usize],
                 "paxos.learn",
                 Arc::new(req),
                 256,
@@ -657,30 +663,26 @@ impl CoordServer {
         if let Some(r) = responder {
             self.inner.borrow_mut().pending.insert(slot, r);
         }
-        self.send_accepts(sim, ballot, slot, cmd, None);
+        self.send_accepts(sim, ballot, slot, cmd);
     }
 
-    fn send_accepts(&self, sim: &Sim, ballot: Ballot, slot: u64, cmd: Command, _: Option<()>) {
-        {
+    fn send_accepts(&self, sim: &Sim, ballot: Ballot, slot: u64, cmd: Command) {
+        let (cmd, peers, timeout) = {
             let mut s = self.inner.borrow_mut();
-            let quorum = s.quorum();
-            s.proposers.insert(slot, Proposer::new(ballot, quorum));
-            if let Some(p) = s.proposers.get_mut(&slot) {
-                p.choose_value(cmd.clone());
-            }
-        }
-        let (peers, timeout) = {
-            let s = self.inner.borrow();
-            (s.peers.clone(), s.config.rpc_timeout)
+            let mut p = Proposer::new(ballot, s.quorum());
+            let cmd = p.choose_value(cmd);
+            s.proposers.insert(slot, p);
+            (cmd, s.peers.clone(), s.config.rpc_timeout)
         };
-        let req = AcceptReq { ballot, slot, cmd };
+        // One shared body for every peer: handlers only borrow it.
+        let req: Payload = Arc::new(AcceptReq { ballot, slot, cmd });
         for addr in &peers {
             let this = self.clone();
             self.rpc.call::<AcceptResp>(
                 sim,
                 addr,
                 "paxos.accept",
-                Arc::new(req.clone()),
+                Arc::clone(&req),
                 256,
                 timeout,
                 move |sim, resp| {
@@ -740,19 +742,20 @@ impl CoordServer {
     fn apply_ready(&self, sim: &Sim) {
         loop {
             let step = {
-                let mut s = self.inner.borrow_mut();
+                let mut guard = self.inner.borrow_mut();
+                // Reborrow so `chosen` and `store` borrow disjointly.
+                let s = &mut *guard;
                 let slot = s.applied;
-                let Some(cmd) = s.chosen.get(&slot).cloned() else {
+                let Some(cmd) = s.chosen.get(&slot) else {
                     break;
                 };
-                let (result, events) = s.store.apply(&cmd);
+                let (result, events) = s.store.apply(cmd);
+                // Track new sessions for expiry on the leader.
+                if let Command::CreateSession { id } = *cmd {
+                    s.session_last_heard.insert(id, sim.now());
+                }
                 s.applied += 1;
                 let responder = s.pending.remove(&slot);
-                // Track new sessions for expiry on the leader.
-                if let Command::CreateSession { id } = cmd {
-                    let now = sim.now();
-                    s.session_last_heard.insert(id, now);
-                }
                 (result, events, responder)
             };
             let (result, events, responder) = step;
@@ -1197,6 +1200,95 @@ mod tests {
         assert!(
             bystander.with_store(|st| st.get("/late").is_some()),
             "caught up after restart"
+        );
+    }
+
+    /// Proposes `n` `SetData` writes on `/log` in chunks, letting each
+    /// chunk commit before the next.
+    fn commit_writes(sim: &Sim, l: &CoordServer, n: usize) {
+        for chunk in 0..n.div_ceil(20) {
+            for k in chunk * 20..n.min(chunk * 20 + 20) {
+                let cmd = Command::SetData {
+                    path: "/log".into(),
+                    data: k.to_le_bytes().to_vec(),
+                    version: None,
+                };
+                propose_ok(sim, l, cmd);
+            }
+            sim.run_until(sim.now() + Duration::from_millis(20));
+        }
+    }
+
+    #[test]
+    fn learn_batches_carry_only_missing_slots() {
+        let sim = Sim::new(18);
+        let net = Network::new(NetConfig::default());
+        let addrs: Vec<Addr> = (0..5).map(|i| Addr::new(format!("coord-{i}"))).collect();
+        // No session may expire mid-test: an expiry would append to the log.
+        let config = CoordConfig {
+            session_timeout: Duration::from_secs(3600),
+            ..CoordConfig::default()
+        };
+        let servers: Vec<CoordServer> = (0..5)
+            .map(|i| CoordServer::new(&sim, &net, i, addrs.clone(), config.clone()))
+            .collect();
+        sim.run_until(SimTime::from_secs(2));
+        let l = leader(&servers).expect("leader").clone();
+        propose_ok(&sim, &l, Command::CreateSession { id: 1 });
+        propose_ok(
+            &sim,
+            &l,
+            Command::Create {
+                session: 1,
+                path: "/log".into(),
+                data: vec![],
+                mode: CreateMode::Persistent,
+            },
+        );
+        commit_writes(&sim, &l, 2000);
+        sim.run_until(sim.now() + Duration::from_secs(2));
+        let settled = l.applied_len();
+        assert!(settled >= 2002, "log reached {settled} entries");
+
+        // Settled: the leader has no batch of its own and sends nothing.
+        let batches = l.inner.borrow().learn_batches();
+        let pids: Vec<u32> = batches.iter().map(|(pid, _)| *pid).collect();
+        let followers: Vec<u32> = (0..5).filter(|&pid| pid != l.id()).collect();
+        assert_eq!(
+            pids, followers,
+            "one batch per follower, none for the leader"
+        );
+        assert!(batches.iter().all(|(_, b)| b.is_empty()), "settled batches");
+
+        // A paused follower's batch is exactly the slots it missed.
+        let lagger = servers
+            .iter()
+            .find(|s| !s.is_leader())
+            .expect("follower")
+            .clone();
+        lagger.pause();
+        const K: usize = 50;
+        commit_writes(&sim, &l, K);
+        sim.run_until(sim.now() + Duration::from_secs(1));
+        assert_eq!(l.applied_len(), settled + K as u64);
+        for (pid, batch) in l.inner.borrow().learn_batches() {
+            let slots: Vec<u64> = batch.iter().map(|(slot, _)| *slot).collect();
+            if pid == lagger.id() {
+                let missing: Vec<u64> = (settled..settled + K as u64).collect();
+                assert_eq!(slots, missing, "lagging follower {pid}");
+            } else {
+                assert!(slots.is_empty(), "live follower {pid} got {slots:?}");
+            }
+        }
+
+        lagger.restart(&sim);
+        sim.run_until(sim.now() + Duration::from_secs(2));
+        assert!(l.is_leader(), "leadership survived the restart");
+        assert_eq!(lagger.applied_log(), l.applied_log(), "caught up");
+        let batches = l.inner.borrow().learn_batches();
+        assert!(
+            batches.iter().all(|(_, b)| b.is_empty()),
+            "caught-up batches"
         );
     }
 
