@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use ustore::{Mounted, SpaceInfo, UStoreSystem, WatchdogConfig};
 use ustore_net::BlockDevice;
-use ustore_sim::{Json, ScraperConfig, SimTime, TraceLevel};
+use ustore_sim::{Json, ScraperConfig, SimTime};
 
 use crate::report::{Report, Row, TelemetryArtifacts};
 
@@ -84,7 +84,6 @@ pub struct DegradedRun {
 /// Runs the degraded-disk scenario once.
 pub fn run_degraded(seed: u64) -> DegradedRun {
     let s = UStoreSystem::prototype(seed);
-    s.sim.with_trace(|t| t.set_min_level(TraceLevel::Info));
     s.settle();
 
     // Telemetry pipeline + watchdog. The slow EWMA keeps the baseline from
@@ -180,11 +179,6 @@ pub fn run_degraded(seed: u64) -> DegradedRun {
         let rec = recovered_at.clone();
         s.sim.schedule_at(onset + HARD_FAILURE_AFTER, move |sim| {
             if rec.get() == SimTime::ZERO {
-                sim.trace(
-                    TraceLevel::Warn,
-                    "bench",
-                    "degraded disk reached hard failure before recovery",
-                );
                 d.set_failed(sim, true);
             }
         });

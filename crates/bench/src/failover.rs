@@ -20,7 +20,7 @@ use std::time::Duration;
 use ustore::{Mounted, SpaceInfo, UStoreSystem};
 use ustore_fabric::HostId;
 use ustore_net::BlockDevice;
-use ustore_sim::{Json, ScraperConfig, SimTime, TraceLevel};
+use ustore_sim::{Json, ScraperConfig, SimTime};
 
 use crate::report::{Report, Row, TelemetryArtifacts};
 
@@ -60,7 +60,6 @@ pub struct FailoverRun {
 /// the active microcontroller and the primary Controller).
 pub fn run_failover(seed: u64, victim_index: u32) -> FailoverRun {
     let s = UStoreSystem::prototype(seed);
-    s.sim.with_trace(|t| t.set_min_level(TraceLevel::Info));
     s.settle();
     // Sample the registry throughout, so the run's artifacts carry the
     // failover as time series too (spikes in remounts, residency shifts).

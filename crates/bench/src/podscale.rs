@@ -445,9 +445,6 @@ fn run_classic(seed: u64, cfg: &PodConfig, profile: bool, trace: Option<TracePla
     let sim = Sim::new(seed);
     sim.set_reqtracer(tracer.clone());
     let system = UStoreSystem::build(sim, system_config(cfg));
-    // Pod-scale runs are about engine throughput; keep the trace buffer to
-    // warnings so it measures the system, not the logger.
-    system.sim.with_trace(|t| t.set_min_level(TraceLevel::Warn));
     let profiler = if profile {
         Profiler::on(1)
     } else {

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ustore_net::{Addr, Network, RpcError, RpcNode};
-use ustore_sim::{Sim, TraceLevel};
+use ustore_sim::Sim;
 
 use crate::rsm::{ClientReq, ClientResp, ReadOp, ReadResult, WatchNotification, WatchReg};
 use crate::store::{Applied, Command, CreateMode, SessionId, StoreError, WatchEvent};
@@ -265,11 +265,6 @@ impl CoordClient {
                     c.pinging = true;
                 }
                 this.arm_ping(sim);
-                sim.trace(
-                    TraceLevel::Info,
-                    "coord-client",
-                    format!("session {id} open"),
-                );
                 cb(sim, Ok(id));
             }
             Err(e) => cb(sim, Err(e)),
@@ -555,16 +550,12 @@ impl Election {
                     path,
                     Vec::new(),
                     CreateMode::EphemeralSequential,
-                    move |sim, r| match r {
-                        Ok(actual) => {
+                    // A failed create leaves this process out of the election.
+                    move |sim, r| {
+                        if let Ok(actual) = r {
                             *e2.me.borrow_mut() = Some(actual);
                             e2.evaluate(sim);
                         }
-                        Err(err) => sim.trace(
-                            TraceLevel::Error,
-                            "election",
-                            format!("cannot create candidate node: {err}"),
-                        ),
                     },
                 );
                 return;
@@ -576,15 +567,10 @@ impl Election {
                 path,
                 Vec::new(),
                 CreateMode::Persistent,
-                move |sim, r| match r {
-                    Ok(_) | Err(ClientError::Store(StoreError::NodeExists)) => {
+                move |sim, r| {
+                    if matches!(r, Ok(_) | Err(ClientError::Store(StoreError::NodeExists))) {
                         ensure(sim, e2, components, idx + 1);
                     }
-                    Err(other) => sim.trace(
-                        TraceLevel::Error,
-                        "election",
-                        format!("cannot ensure base path: {other}"),
-                    ),
                 },
             );
         }
@@ -613,11 +599,6 @@ impl Election {
                     return;
                 };
                 if my_idx == 0 {
-                    sim.trace(
-                        TraceLevel::Info,
-                        "election",
-                        format!("{} leads {}", my_name, this.base),
-                    );
                     (this.on_change)(sim, true);
                 } else {
                     // Watch the predecessor's deletion, then re-evaluate.
@@ -766,7 +747,7 @@ mod tests {
             .expect("leader")
             .clone();
         leader.pause();
-        f.net.set_down(&f.sim, &leader.addr());
+        f.net.set_down(&leader.addr());
         // Issue a write immediately; the client should retry to the new
         // leader.
         let done = Rc::new(Cell::new(false));

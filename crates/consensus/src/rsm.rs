@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ustore_net::{Addr, Network, Payload, Responder, RpcNode};
-use ustore_sim::{CounterHandle, Sim, SimTime, TraceLevel};
+use ustore_sim::{CounterHandle, Sim, SimTime};
 
 use crate::paxos::{AcceptReply, Acceptor, Ballot, PrepareReply, Proposer};
 use crate::store::{Applied, Command, SessionId, StoreError, WatchEvent, ZnodeStore};
@@ -447,11 +447,6 @@ impl CoordServer {
                 .collect()
         };
         for id in expired {
-            sim.trace(
-                TraceLevel::Warn,
-                "coord",
-                format!("leader {} expiring session {id}", self.id()),
-            );
             self.propose_internal(sim, Command::ExpireSession { id }, None);
         }
     }
@@ -459,21 +454,16 @@ impl CoordServer {
     // ---- Election ---------------------------------------------------------
 
     fn start_election(&self, sim: &Sim) {
-        let (ballot, from_slot, peers, me) = {
+        let (ballot, from_slot, peers) = {
             let mut s = self.inner.borrow_mut();
             let ballot = s.ballot.next_for(s.id);
             s.ballot = ballot;
             s.role = Role::Candidate {
                 promises: Vec::new(),
             };
-            (ballot, s.applied, s.peers.clone(), s.id)
+            (ballot, s.applied, s.peers.clone())
         };
         self.metrics.elections.inc();
-        sim.trace(
-            TraceLevel::Info,
-            "coord",
-            format!("{me} starts election at ballot {ballot}"),
-        );
         let req = PrepareReq { ballot, from_slot };
         let timeout = self.inner.borrow().config.rpc_timeout;
         for addr in &peers {
@@ -576,11 +566,6 @@ impl CoordServer {
             todo
         };
         self.metrics.leader_changes.inc();
-        sim.trace(
-            TraceLevel::Info,
-            "coord",
-            format!("{} became leader at {ballot}", self.id()),
-        );
         for (slot, cmd) in reproposals {
             self.send_accepts(sim, ballot, slot, cmd);
         }
@@ -1132,7 +1117,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(3));
         // Crash the leader (process + network).
         old.pause();
-        net.set_down(&sim, &old.addr());
+        net.set_down(&old.addr());
         sim.run_until(SimTime::from_secs(6));
         let survivors: Vec<&CoordServer> = servers.iter().filter(|s| s.id() != old.id()).collect();
         let new_leaders: Vec<&&CoordServer> = survivors.iter().filter(|s| s.is_leader()).collect();

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use ustore_fabric::DiskId;
 use ustore_net::{Addr, BlockDevice, BlockError, IscsiSession, Network, ReadCb, RpcNode, WriteCb};
-use ustore_sim::{FastMap, ReqKind, Sim, SimTime, SpanId, TraceId, TraceLevel};
+use ustore_sim::{FastMap, ReqKind, Sim, SimTime, SpanId, TraceId};
 
 use crate::ids::SpaceName;
 use crate::messages::{
@@ -597,11 +597,6 @@ impl Mounted {
             m.session = None;
         }
         sim.count(&self.client.rpc.addr().to_string(), "client.io_retries", 1);
-        sim.trace(
-            TraceLevel::Warn,
-            "clientlib",
-            format!("{}: io failed ({why}); remounting", self.name()),
-        );
         self.remount(sim, |_, _| {});
     }
 
@@ -750,11 +745,6 @@ impl Mounted {
                                             cb(sim);
                                         }
                                         sim.span_end(span);
-                                        sim.trace(
-                                            TraceLevel::Info,
-                                            "clientlib",
-                                            format!("{} mounted", this3.name()),
-                                        );
                                         done(sim, Ok(()));
                                         this3.pump(sim);
                                     });

@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use ustore_fabric::FabricRuntime;
 use ustore_net::RpcNode;
-use ustore_sim::TraceLevel;
 
 use crate::ids::UnitId;
 use crate::messages::{ExecuteReq, ExecuteResp, PlanReq, PlanResp};
@@ -61,11 +60,6 @@ impl Controller {
         let c = ctl.clone();
         ctl.rpc.serve("ctl.execute", move |sim, req, responder| {
             let req: &ExecuteReq = req.downcast_ref().expect("ExecuteReq");
-            sim.trace(
-                TraceLevel::Info,
-                "controller",
-                format!("{}: executing {} pairs", c.rpc.addr(), req.pairs.len()),
-            );
             c.runtime.execute(sim, req.pairs.clone(), move |sim, r| {
                 let resp: ExecuteResp = r.map_err(|e| e.to_string());
                 responder.reply(sim, Arc::new(resp), 64);

@@ -17,7 +17,7 @@ use std::time::Duration;
 use ustore_disk::PowerStateKind;
 use ustore_fabric::{DiskId, FabricIoError, FabricRuntime, HostId};
 use ustore_net::{Addr, BlockDevice, BlockError, IscsiServer, ReadCb, RpcNode, WriteCb};
-use ustore_sim::{CounterHandle, Sim, SimTime, TraceLevel};
+use ustore_sim::{CounterHandle, Sim, SimTime};
 use ustore_usb::{DeviceKind, DeviceState, UsbEvent};
 
 use crate::ids::{SpaceName, UnitId};
@@ -297,11 +297,6 @@ impl Endpoint {
             }
             sim.count(&this.addr().to_string(), "endpoint.exports", 1);
             sim.span_end(span);
-            sim.trace(
-                TraceLevel::Info,
-                "endpoint",
-                format!("{}: exported {}", this.addr(), name),
-            );
         });
     }
 
@@ -471,17 +466,9 @@ impl Endpoint {
                 })
                 .collect();
             for d in churning {
-                let t = {
-                    let t = ep.idle_threshold.entry(d).or_insert(base);
-                    *t = (*t * 2).min(Duration::from_secs(7200));
-                    *t
-                };
+                let t = ep.idle_threshold.entry(d).or_insert(base);
+                *t = (*t * 2).min(Duration::from_secs(7200));
                 ep.spin_ups.remove(&d);
-                sim.trace(
-                    TraceLevel::Info,
-                    "endpoint",
-                    format!("{d} cycles too often; idle threshold now {t:?}"),
-                );
             }
             ep.activity
                 .iter()
@@ -497,11 +484,6 @@ impl Endpoint {
             if self.runtime.attached_host(d) == Some(host) {
                 let disk = self.runtime.disk(d);
                 if disk.power_state() == PowerStateKind::Idle {
-                    sim.trace(
-                        TraceLevel::Info,
-                        "endpoint",
-                        format!("spinning down idle {d}"),
-                    );
                     disk.spin_down(sim);
                 }
             }

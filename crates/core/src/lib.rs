@@ -61,7 +61,7 @@ pub use clientlib::{ClientLibConfig, ClientLibError, Mounted, UStoreClient};
 pub use controller::Controller;
 pub use endpoint::{Endpoint, EndpointConfig};
 pub use ids::{ParseSpaceNameError, SpaceName, UnitId};
-pub use master::{Master, MasterConfig, UnitConf};
+pub use master::{DiskRecovery, Master, MasterConfig, UnitConf};
 pub use messages::{MasterError, SpaceInfo};
 pub use meta::MetaRouter;
 pub use sharded::{

@@ -25,7 +25,7 @@ use ustore_consensus::{
 };
 use ustore_fabric::{DiskId, HostId};
 use ustore_net::{Addr, Network, RpcNode};
-use ustore_sim::{CounterHandle, FastMap, FastSet, Sim, SimTime, TraceLevel};
+use ustore_sim::{CounterHandle, FastMap, FastSet, Sim, SimTime};
 
 use crate::alloc::{Allocator, Extent};
 use crate::ids::{SpaceName, UnitId};
@@ -99,7 +99,9 @@ struct M {
     disk_host: FastMap<(UnitId, DiskId), HostId>,
     disk_last_seen: FastMap<(UnitId, DiskId), SimTime>,
     failover_in_progress: BTreeSet<(UnitId, HostId)>,
-    disk_recovery_attempted: FastMap<(UnitId, DiskId), SimTime>,
+    /// Last path-switch attempt per disk outside a host failover: when it
+    /// started (the retry clock) and why the disk was handled.
+    disk_recovery_attempted: FastMap<(UnitId, DiskId), (SimTime, DiskRecovery)>,
     // StorAlloc — persisted through the coordination service.
     alloc: Allocator,
     exposures_pushed: FastSet<(SpaceName, HostId)>,
@@ -113,6 +115,21 @@ struct M {
     /// When this process became active (baseline for detecting hosts that
     /// died before ever heartbeating to this master).
     activated_at: Option<SimTime>,
+}
+
+/// Why the Master last handled a disk outside a host failover (§IV-E),
+/// as read back through [`Master::disk_recovery`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiskRecovery {
+    /// The missing-disk sweep found the disk gone from every live host's
+    /// USB tree and switched its path.
+    Swept,
+    /// A caller (e.g. the health watchdog) asked for a proactive move
+    /// through [`Master::recover_disk`].
+    Requested,
+    /// No alternative path exists: the disk is reported for replacement
+    /// or repair.
+    NeedsRepair,
 }
 
 /// One Master process (active or standby).
@@ -214,11 +231,6 @@ impl Master {
         let m2 = master.clone();
         coord.connect(sim, move |sim, r| {
             if r.is_err() {
-                sim.trace(
-                    TraceLevel::Error,
-                    "master",
-                    "cannot reach coordination service",
-                );
                 return;
             }
             let m3 = m2.clone();
@@ -238,17 +250,8 @@ impl Master {
         // election needs several RPC round trips, so by the time this
         // process can activate and serve allocations the routed sessions
         // are already live.
-        for (i, c) in master.part_coords.iter().enumerate() {
-            let part = i as u32 + 1;
-            c.connect(sim, move |sim, r| {
-                if r.is_err() {
-                    sim.trace(
-                        TraceLevel::Error,
-                        "master",
-                        format!("cannot reach metadata partition {part}"),
-                    );
-                }
-            });
+        for c in master.part_coords.iter() {
+            c.connect(sim, |_, _| {});
         }
         master.arm_sweeper(sim);
         master
@@ -293,6 +296,16 @@ impl Master {
         self.inner.borrow().disk_host.get(&(unit, d)).copied()
     }
 
+    /// SysStat view: why the disk was last rerouted outside a host
+    /// failover, or reported for repair; `None` if it never was.
+    pub fn disk_recovery(&self, unit: UnitId, d: DiskId) -> Option<DiskRecovery> {
+        self.inner
+            .borrow()
+            .disk_recovery_attempted
+            .get(&(unit, d))
+            .map(|(_, why)| *why)
+    }
+
     /// SysStat view: whether a host is believed alive.
     pub fn host_alive(&self, unit: UnitId, h: HostId) -> bool {
         self.inner
@@ -306,11 +319,6 @@ impl Master {
     // ---- Activation --------------------------------------------------------
 
     fn activate(&self, sim: &Sim) {
-        sim.trace(
-            TraceLevel::Info,
-            "master",
-            format!("{} becoming active", self.rpc.addr()),
-        );
         // Load persisted StorAlloc, then start serving.
         let this = self.clone();
         self.ensure_meta_paths(sim, move |sim| {
@@ -375,7 +383,6 @@ impl Master {
                     }
                 };
                 let Ok(kids) = r else {
-                    sim.trace(TraceLevel::Error, "master", "cannot list allocations");
                     return;
                 };
                 if kids.is_empty() {
@@ -419,11 +426,6 @@ impl Master {
             m.active = true;
             m.activated_at = Some(sim.now());
         }
-        sim.trace(
-            TraceLevel::Info,
-            "master",
-            format!("{} active", self.rpc.addr()),
-        );
     }
 
     // ---- RPC handlers ---------------------------------------------------------
@@ -471,14 +473,7 @@ impl Master {
             }
             let key = (hb.unit, hb.host);
             m.host_last_hb.insert(key, sim.now());
-            let was_alive = m.host_alive.insert(key, true);
-            if was_alive == Some(false) {
-                sim.trace(
-                    TraceLevel::Info,
-                    "master",
-                    format!("{} {} is back", hb.unit, hb.host),
-                );
-            }
+            m.host_alive.insert(key, true);
             m.host_addr.insert(key, hb.addr.clone());
             let mut pushes = Vec::new();
             let now = sim.now();
@@ -798,11 +793,6 @@ impl Master {
             newly_dead
         };
         for (unit, host) in dead {
-            sim.trace(
-                TraceLevel::Warn,
-                "master",
-                format!("{unit} {host} missed heartbeats; starting failover"),
-            );
             sim.count(&self.rpc.addr().to_string(), "master.failovers", 1);
             // Join the failover span opened at failure injection, or root a
             // fresh one (failures can arise without the harness's help).
@@ -879,23 +869,19 @@ impl Master {
                     if now.saturating_duration_since(last) <= timeout {
                         continue;
                     }
-                    if let Some(t) = m.disk_recovery_attempted.get(&key) {
+                    if let Some((t, _)) = m.disk_recovery_attempted.get(&key) {
                         if now.saturating_duration_since(*t) < retry {
                             continue;
                         }
                     }
-                    m.disk_recovery_attempted.insert(key, now);
+                    m.disk_recovery_attempted
+                        .insert(key, (now, DiskRecovery::Swept));
                     out.push((unit, *d, targets.clone(), conf.controllers.clone()));
                 }
             }
             out
         };
         for (unit, d, targets, controllers) in missing {
-            sim.trace(
-                TraceLevel::Warn,
-                "master",
-                format!("{unit} {d} vanished from all USB trees; rerouting"),
-            );
             self.reroute_disk(sim, unit, d, targets, controllers, false, |_, _| {});
         }
     }
@@ -936,17 +922,13 @@ impl Master {
                 if targets.is_empty() {
                     None
                 } else {
-                    m.disk_recovery_attempted.insert((unit, d), sim.now());
+                    m.disk_recovery_attempted
+                        .insert((unit, d), (sim.now(), DiskRecovery::Requested));
                     Some((targets, conf.controllers))
                 }
             }
         };
         let Some((targets, controllers)) = picked else {
-            sim.trace(
-                TraceLevel::Error,
-                "master",
-                format!("{unit} {d}: no recovery target available"),
-            );
             done(sim, false);
             return;
         };
@@ -988,15 +970,19 @@ impl Master {
                     return;
                 };
                 match plan {
-                    Err(why) => {
+                    Err(_) => {
                         // No alternative path: the paper "reports the
                         // failure to system administrator for future
-                        // replacement or repair".
-                        sim.trace(
-                            TraceLevel::Error,
-                            "master",
-                            format!("{unit} {d} unrecoverable ({why}); needs repair"),
-                        );
+                        // replacement or repair". Only the reason changes;
+                        // the retry clock keeps the attempt's start.
+                        if let Some((_, why)) = this
+                            .inner
+                            .borrow_mut()
+                            .disk_recovery_attempted
+                            .get_mut(&(unit, d))
+                        {
+                            *why = DiskRecovery::NeedsRepair;
+                        }
                         done(sim, false);
                     }
                     Ok(pairs) => {
@@ -1020,14 +1006,6 @@ impl Master {
                                     m.exposures_pushed
                                         .retain(|(n, _)| !pairs2.iter().any(|(d, _)| *d == n.disk));
                                 }
-                                sim.trace(
-                                    TraceLevel::Info,
-                                    "master",
-                                    format!(
-                                        "reroute of {unit} {d} {}",
-                                        if ok { "complete" } else { "failed" }
-                                    ),
-                                );
                                 done(sim, ok);
                             },
                         );
@@ -1066,6 +1044,12 @@ impl Master {
                 .borrow_mut()
                 .failover_in_progress
                 .remove(&(unit, dead));
+            let why = if disks.is_empty() {
+                "no_disks"
+            } else {
+                "no_target"
+            };
+            close_failover_spans(sim, unit, dead, Some(why));
             return;
         }
         let this = self.clone();
@@ -1081,7 +1065,6 @@ impl Master {
             self.inner.borrow().config.rpc_timeout,
             move |sim, plan| {
                 let Some((responsive, Ok(pairs))) = plan else {
-                    sim.trace(TraceLevel::Error, "master", "failover planning failed");
                     this.inner
                         .borrow_mut()
                         .failover_in_progress
@@ -1145,14 +1128,6 @@ impl Master {
                             close_failover_spans(sim, unit, dead, Some("execute_failed"));
                             sim.count(&this2.rpc.addr().to_string(), "master.failovers_failed", 1);
                         }
-                        sim.trace(
-                            TraceLevel::Info,
-                            "master",
-                            format!(
-                                "failover of {unit} {dead} {}",
-                                if ok { "complete" } else { "FAILED" }
-                            ),
-                        );
                     },
                 );
             },
@@ -1189,11 +1164,6 @@ impl Master {
             move |sim, r| match r {
                 Ok(resp) => cb(sim, Some((primary2, (*resp).clone()))),
                 Err(_) if !rest.is_empty() => {
-                    sim.trace(
-                        TraceLevel::Warn,
-                        "master",
-                        format!("primary controller unreachable; trying backup for {method}"),
-                    );
                     this.controller_call::<R>(sim, rest, method, body2, timeout, cb);
                 }
                 Err(_) => cb(sim, None),

@@ -82,7 +82,9 @@ pub struct ShardedPodConfig {
     pub clients: Vec<String>,
     /// Telemetry pipeline start, if any.
     pub telemetry: Option<TelemetryPlan>,
-    /// Minimum trace level recorded by every world.
+    /// Ignored; kept (with `TraceLevel`) only so the frozen benchmark
+    /// package builds until its next revision.
+    #[doc(hidden)]
     pub trace_level: TraceLevel,
     /// Wall-clock engine profiling: when true the pod carries an active
     /// [`Profiler`] (phase timers on every engine thread) and a
@@ -298,7 +300,6 @@ impl WorldCtx {
     fn build(&self, id: usize) -> (PodWorld, Vec<UStoreClient>) {
         let sys = &self.cfg.system;
         let sim = Sim::new(world_seed(self.seed, id));
-        sim.with_trace(|t| t.set_min_level(self.cfg.trace_level));
         sim.set_reqtracer(self.tracer.clone());
         let net = Network::new(sys.net.clone());
         net.enable_shard_routing(id, self.placement.clone(), self.lookahead.clone());

@@ -14,7 +14,7 @@ use std::time::Duration;
 use ustore_consensus::{CoordGroup, CoordServer};
 use ustore_fabric::{DiskId, FabricRuntime, HostId, RuntimeConfig, Topology};
 use ustore_net::{Addr, NetConfig, Network};
-use ustore_sim::{Scraper, ScraperConfig, Sim, TraceLevel};
+use ustore_sim::{Scraper, ScraperConfig, Sim};
 
 use crate::clientlib::{ClientLibConfig, UStoreClient};
 use crate::controller::Controller;
@@ -232,15 +232,13 @@ impl UStoreSystem {
 
     /// Kills a host of a specific deploy unit.
     pub fn kill_unit_host(&self, unit: UnitId, h: HostId) {
-        self.sim
-            .trace(TraceLevel::Warn, "system", format!("killing {unit} {h}"));
         // Open the failover span tree at the instant of failure. The
         // detection child stays open until the Master's sweeper declares
         // the host dead, so its duration is the paper's detection time.
         let root = self.sim.span_start("system", "failover");
         self.sim.span_attr(root, "victim", format!("{unit}/{h}"));
         self.sim.span_child(root, "master", "failover.detection");
-        self.net.set_down(&self.sim, &unit_host_addr(unit, h));
+        self.net.set_down(&unit_host_addr(unit, h));
         self.runtimes[unit.0 as usize].host_failed(&self.sim, h);
         if let Some(ep) = self
             .endpoints
@@ -258,9 +256,7 @@ impl UStoreSystem {
 
     /// Repairs a previously killed host of a specific unit.
     pub fn restore_unit_host(&self, unit: UnitId, h: HostId) {
-        self.sim
-            .trace(TraceLevel::Info, "system", format!("restoring {unit} {h}"));
-        self.net.set_up(&self.sim, &unit_host_addr(unit, h));
+        self.net.set_up(&unit_host_addr(unit, h));
         self.runtimes[unit.0 as usize].host_repaired(&self.sim, h);
         if let Some(ep) = self
             .endpoints
@@ -274,16 +270,12 @@ impl UStoreSystem {
     /// Kills a master process (service socket, coordination sessions —
     /// including its per-partition metadata sessions).
     pub fn kill_master(&self, i: usize) {
-        self.net.set_down(&self.sim, &master_addr(i as u32));
-        self.net.set_down(
-            &self.sim,
-            &Addr::new(format!("{}-zk", master_addr(i as u32))),
-        );
+        self.net.set_down(&master_addr(i as u32));
+        self.net
+            .set_down(&Addr::new(format!("{}-zk", master_addr(i as u32))));
         for k in 1..self.config.master.partitions.max(1) {
-            self.net.set_down(
-                &self.sim,
-                &Addr::new(format!("{}-zk-p{k}", master_addr(i as u32))),
-            );
+            self.net
+                .set_down(&Addr::new(format!("{}-zk-p{k}", master_addr(i as u32))));
         }
         self.masters[i].pause();
     }

@@ -42,7 +42,7 @@ use std::rc::Rc;
 
 use ustore_fabric::DiskId;
 use ustore_sim::obs::timeseries::{Scraper, TimeSeries};
-use ustore_sim::{Sim, SimTime, SpanId, TraceLevel};
+use ustore_sim::{Sim, SimTime, SpanId};
 
 use crate::ids::UnitId;
 use crate::master::Master;
@@ -436,11 +436,6 @@ impl HealthWatchdog {
                         if let Some(root) = root {
                             sim.span_end(root);
                         }
-                        sim.trace(
-                            TraceLevel::Info,
-                            "watchdog",
-                            format!("{component}: degradation recovery complete"),
-                        );
                     }
                 }
                 Phase::Recovered => {}
@@ -565,11 +560,6 @@ impl HealthWatchdog {
         }
         sim.reqtracer()
             .annotate(&format!("watchdog escalate {component}"), sim.now());
-        sim.trace(
-            TraceLevel::Warn,
-            "watchdog",
-            format!("{component}: sustained degradation; rerouting {unit} {disk}"),
-        );
         if let Some(det) = detection {
             sim.span_end(det);
         }

@@ -13,7 +13,6 @@ use std::rc::Rc;
 
 use ustore_sim::{
     CounterHandle, Histogram, HistogramHandle, ReqStamp, Sim, SimRng, SimTime, Stage, Throughput,
-    TraceLevel,
 };
 
 use crate::model::IoModel;
@@ -658,16 +657,8 @@ impl Disk {
             i.model.reset_stream();
             i.queue.drain(..).map(|(op, ..)| op).collect()
         };
-        let n = aborted.len();
         for op in aborted {
             op.abort(sim, DiskError::Aborted);
-        }
-        if n > 0 {
-            sim.trace(
-                TraceLevel::Warn,
-                "disk",
-                format!("{}: power off aborted {n} commands", self.name()),
-            );
         }
     }
 
@@ -855,23 +846,7 @@ impl Disk {
                     })
                 }
             };
-            match report {
-                Some(r) => {
-                    if r.repaired > 0 {
-                        sim.trace(
-                            TraceLevel::Info,
-                            "disk",
-                            format!(
-                                "{}: scrub repaired {} latent sector error(s)",
-                                this.name(),
-                                r.repaired
-                            ),
-                        );
-                    }
-                    done(sim, Ok(r));
-                }
-                None => done(sim, Err(DiskError::Aborted)),
-            }
+            done(sim, report.ok_or(DiskError::Aborted));
         });
     }
 

@@ -19,7 +19,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use ustore_disk::{Disk, DiskError, DiskProfile};
-use ustore_sim::{Sim, SimTime, SpanId, TraceLevel};
+use ustore_sim::{Sim, SimTime, SpanId};
 use ustore_usb::{BusDir, DeviceDesc, DeviceId, DeviceKind, DeviceState, UsbHost, UsbProfile};
 
 use crate::control::{ControlError, ControlPlane, RelayBank};
@@ -408,11 +408,6 @@ impl FabricRuntime {
         sim.count("fabric", "fabric.switch_flips", turns.len() as u64);
         let actuate = sim.span_child(exec, "fabric", "fabric.actuate");
         sim.span_attr(actuate, "switches", turns.len().to_string());
-        sim.trace(
-            TraceLevel::Info,
-            "fabric",
-            format!("turning {} switches for {} pairs", turns.len(), pairs.len()),
-        );
         let this = self.clone();
         let moved_expect: Vec<DiskId> = self.with_state(|s| s.displaced_by(&turns));
         sim.schedule_in(actuation, move |sim| {
@@ -510,20 +505,11 @@ impl FabricRuntime {
             if let Some(d) = sim.with_spans(|t| t.get(exec).and_then(|s| s.duration())) {
                 sim.observe_duration("fabric", "fabric.reconfig_latency_ns", d);
             }
-            sim.trace(TraceLevel::Info, "fabric", "reconfiguration verified");
             cb(sim, Ok(()));
             return;
         }
         if sim.now() >= deadline {
             // Roll back: turn the switches to their original state.
-            sim.trace(
-                TraceLevel::Error,
-                "fabric",
-                format!(
-                    "verification timed out; rolling back ({} missing)",
-                    missing.len()
-                ),
-            );
             {
                 let mut rt = self.inner.borrow_mut();
                 for (s, pos) in &prev {
@@ -567,14 +553,7 @@ impl FabricRuntime {
         if !rt.control.controllable() {
             rt.control.activate_backup();
             sim.count("fabric", "fabric.control_failovers", 1);
-            sim.trace(
-                TraceLevel::Warn,
-                "fabric",
-                "control plane failed over to backup",
-            );
         }
-        drop(rt);
-        sim.trace(TraceLevel::Warn, "fabric", format!("{h} marked failed"));
     }
 
     /// Marks a hub dead (§IV-E: the hub and the switch feeding it are one
@@ -593,14 +572,12 @@ impl FabricRuntime {
             let h = self.inner.borrow().hosts[&host].clone();
             h.detach(sim, hub_dev(hub));
         }
-        sim.trace(TraceLevel::Warn, "fabric", format!("{hub} marked failed"));
     }
 
     /// Repairs a hub; anything now routed through it re-enumerates.
     pub fn hub_repaired(&self, sim: &Sim, hub: HubId) {
         self.inner.borrow_mut().state.repair(Component::Hub(hub));
         self.mount_all(sim);
-        sim.trace(TraceLevel::Info, "fabric", format!("{hub} repaired"));
     }
 
     /// Restores a repaired host.

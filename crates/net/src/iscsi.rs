@@ -476,8 +476,8 @@ mod tests {
         );
         // Kill the endpoint right away; the read will time out.
         let addr = Addr::new("endpoint-0");
-        sim.schedule_in(Duration::from_micros(300), move |sim| {
-            net.set_down(sim, &addr);
+        sim.schedule_in(Duration::from_micros(300), move |_| {
+            net.set_down(&addr);
         });
         sim.run();
         assert!(got.get());

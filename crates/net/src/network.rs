@@ -14,9 +14,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ustore_sim::{
-    FastMap, FastSet, LookaheadMatrix, Routed, Sim, SimTime, TraceLevel, TrafficMatrix,
-};
+use ustore_sim::{FastMap, FastSet, LookaheadMatrix, Routed, Sim, SimTime, TrafficMatrix};
 
 /// A network address (host name). Cheap to clone and safe to move across
 /// shard threads.
@@ -416,19 +414,17 @@ impl Network {
 
     /// Crashes a node: in-flight messages to it are dropped on arrival and
     /// it can no longer send.
-    pub fn set_down(&self, sim: &Sim, addr: &Addr) {
+    pub fn set_down(&self, addr: &Addr) {
         if let Some(n) = self.inner.borrow_mut().nodes.get_mut(addr) {
             n.up = false;
         }
-        sim.trace(TraceLevel::Warn, "net", format!("{addr} is down"));
     }
 
     /// Restores a crashed node.
-    pub fn set_up(&self, sim: &Sim, addr: &Addr) {
+    pub fn set_up(&self, addr: &Addr) {
         if let Some(n) = self.inner.borrow_mut().nodes.get_mut(addr) {
             n.up = true;
         }
-        sim.trace(TraceLevel::Info, "net", format!("{addr} is up"));
     }
 
     /// Whether a node is currently up.
@@ -576,11 +572,11 @@ mod tests {
         let got = Rc::new(Cell::new(false));
         let g = got.clone();
         net.bind(&b, move |_, _| g.set(true));
-        net.set_down(&sim, &b);
+        net.set_down(&b);
         net.send(&sim, &a, &b, 10, Arc::new(()));
         sim.run();
         assert!(!got.get());
-        net.set_up(&sim, &b);
+        net.set_up(&b);
         net.send(&sim, &a, &b, 10, Arc::new(()));
         sim.run();
         assert!(got.get());
@@ -596,7 +592,7 @@ mod tests {
         // Crash b while the message is in flight.
         let net2 = net.clone();
         let b2 = b.clone();
-        sim.schedule_in(Duration::from_micros(1), move |sim| net2.set_down(sim, &b2));
+        sim.schedule_in(Duration::from_micros(1), move |_| net2.set_down(&b2));
         sim.run();
         assert!(!got.get());
     }

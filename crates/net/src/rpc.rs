@@ -415,7 +415,7 @@ mod tests {
     #[test]
     fn timeout_on_dead_server() {
         let (sim, net, _server, client) = setup();
-        net.set_down(&sim, &Addr::new("server"));
+        net.set_down(&Addr::new("server"));
         let got = Rc::new(Cell::new(None));
         let g = got.clone();
         client.call::<()>(
@@ -509,7 +509,7 @@ mod tests {
             },
         );
         sim.run();
-        net.set_down(&sim, &Addr::new("server"));
+        net.set_down(&Addr::new("server"));
         client.call::<()>(
             &sim,
             &Addr::new("server"),

@@ -31,7 +31,6 @@ use crate::reqtrace::{ReqStamp, RequestTracer};
 use crate::rng::SimRng;
 use crate::span::{SpanId, SpanTracer};
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceLevel};
 
 /// Identifier of a scheduled (cancellable) event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -153,7 +152,6 @@ struct Inner {
     /// (the heap itself may briefly hold cancelled entries until they pop).
     live_pending: usize,
     rng: SimRng,
-    trace: Trace,
     metrics: MetricsRegistry,
     spans: SpanTracer,
     processed: u64,
@@ -253,7 +251,6 @@ impl Sim {
                 queue: BinaryHeap::with_capacity(QUEUE_PREALLOC),
                 live_pending: 0,
                 rng: SimRng::seed_from(seed),
-                trace: Trace::new(),
                 metrics: MetricsRegistry::new(),
                 spans: SpanTracer::new(),
                 processed: 0,
@@ -572,24 +569,6 @@ impl Sim {
         self.with_rng(|r| r.fork(label))
     }
 
-    /// Records a trace event at the current virtual time.
-    ///
-    /// Skips all work (including the component copy) when `level` is below
-    /// the recorder's minimum.
-    pub fn trace(&self, level: TraceLevel, component: &str, message: impl Into<String>) {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.trace.enabled(level) {
-            return;
-        }
-        let now = inner.now;
-        inner.trace.record(now, level, component, message.into());
-    }
-
-    /// Applies `f` to the trace recorder (to configure or inspect it).
-    pub fn with_trace<R>(&self, f: impl FnOnce(&mut Trace) -> R) -> R {
-        f(&mut self.inner.borrow_mut().trace)
-    }
-
     // ---- Metrics ----------------------------------------------------------
 
     /// Adds `n` to the counter `component/name`.
@@ -700,9 +679,7 @@ impl Sim {
 
     // ---- Spans ------------------------------------------------------------
 
-    /// Starts a root span at the current instant; mirrored into the trace
-    /// buffer at `Debug` level (skipped entirely — no formatting — when the
-    /// trace recorder drops `Debug`).
+    /// Starts a root span at the current instant.
     pub fn span_start(&self, component: &str, name: &str) -> SpanId {
         self.span_open(component, name, None)
     }
@@ -715,16 +692,7 @@ impl Sim {
     fn span_open(&self, component: &str, name: &str, parent: Option<SpanId>) -> SpanId {
         let mut inner = self.inner.borrow_mut();
         let now = inner.now;
-        let id = inner.spans.start(now, component, name, parent);
-        if inner.trace.enabled(TraceLevel::Debug) {
-            inner.trace.record(
-                now,
-                TraceLevel::Debug,
-                component,
-                format!("span start {name}"),
-            );
-        }
-        id
+        inner.spans.start(now, component, name, parent)
     }
 
     /// Ends a span at the current instant (idempotent).
@@ -732,12 +700,6 @@ impl Sim {
         let mut inner = self.inner.borrow_mut();
         let now = inner.now;
         inner.spans.end(now, id);
-        if inner.trace.enabled(TraceLevel::Debug) {
-            if let Some(span) = inner.spans.get(id) {
-                let (component, line) = (span.component.clone(), format!("span end {}", span.name));
-                inner.trace.record(now, TraceLevel::Debug, &component, line);
-            }
-        }
     }
 
     /// Attaches (or overrides) a `key=value` attribute on a span.

@@ -1,6 +1,5 @@
 //! Measurement primitives used by every experiment.
 //!
-//! - [`Counter`]: monotonically increasing event/byte counts.
 //! - [`Histogram`]: log-linear latency histogram with exact mean/min/max and
 //!   approximate percentiles (relative error bounded by the bucket width,
 //!   ≈ 1/64 per octave).
@@ -10,38 +9,6 @@
 
 use std::fmt;
 use std::time::Duration;
-
-/// A monotonically increasing counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 const SUB_BUCKETS: u64 = 64; // buckets per octave => <=1.6% quantization
 
@@ -376,15 +343,6 @@ impl fmt::Display for ThroughputRate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
-    }
 
     #[test]
     fn histogram_empty() {

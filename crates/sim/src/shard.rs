@@ -23,7 +23,7 @@
 //!   every world's next work lies at or beyond the window target. Only
 //!   worlds with runnable work are dispatched in a round — idle workers
 //!   stay parked;
-//! * a spin-then-park [`Gate`] rendezvous with zero-allocation message
+//! * a spin-then-park `Gate` rendezvous with zero-allocation message
 //!   exchange: bounds and next-event times travel through atomics,
 //!   batches through reusable per-world buffer slots that circulate by
 //!   `mem::swap`, so the steady state allocates nothing per round.

@@ -1,16 +1,15 @@
 //! Causal span tracing over simulated time.
 //!
 //! A [`Span`] is a named interval of virtual time with an optional parent,
-//! a component label and `key=value` attributes — the structured sibling
-//! of the flat [`crate::Trace`] ring buffer. Spans let experiments ask
-//! *decomposition* questions ("how long was fabric reconfiguration inside
-//! this failover?") and *causality* questions ("did the controller lock
-//! the fabric before turning switches?") without grepping log strings.
+//! a component label and `key=value` attributes. Spans are the simulator's
+//! one record of intervals and causality (counts live in the
+//! [`crate::MetricsRegistry`]): they let experiments ask *decomposition*
+//! questions ("how long was fabric reconfiguration inside this
+//! failover?") and *causality* questions ("did the controller lock the
+//! fabric before turning switches?") without grepping log strings.
 //!
 //! Spans are recorded through the simulator handle
-//! ([`crate::Sim::span_start`] / [`crate::Sim::span_end`]), which also
-//! mirrors starts and ends into the `Trace` buffer at `Debug` level so a
-//! debug trace shows both worlds interleaved.
+//! ([`crate::Sim::span_start`] / [`crate::Sim::span_end`]).
 //!
 //! Span taxonomy used across the stack (see DESIGN.md):
 //!
@@ -270,20 +269,6 @@ impl SpanTracer {
     pub fn to_json(&self) -> Json {
         Json::arr(self.spans.iter().map(Span::to_json))
     }
-
-    /// Nested JSON export of the tree rooted at `root`: each node is the
-    /// span object plus a `"children"` array (children in start order).
-    pub fn tree_json(&self, root: SpanId) -> Json {
-        let Some(span) = self.get(root) else {
-            return Json::Null;
-        };
-        let mut node = span.to_json();
-        node.insert(
-            "children",
-            Json::arr(self.children(root).map(|c| self.tree_json(c.id))),
-        );
-        node
-    }
 }
 
 #[cfg(test)]
@@ -368,15 +353,20 @@ mod tests {
         assert!(flat.starts_with('['));
         assert!(flat.contains(r#""name":"failover""#));
         assert!(flat.contains(r#""victim":"h0""#));
-        let tree = t.tree_json(root);
-        let children = tree.get("children").and_then(Json::as_arr).unwrap();
-        assert_eq!(children.len(), 1);
+        let arr = t.to_json();
+        let spans = arr.as_arr().unwrap();
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].get("parent"), Some(&Json::Null));
         assert_eq!(
-            children[0].get("name").and_then(Json::as_str),
+            spans[1].get("parent").and_then(Json::as_f64),
+            Some(root.raw() as f64)
+        );
+        assert_eq!(
+            spans[1].get("name").and_then(Json::as_str),
             Some("fabric.execute")
         );
         assert_eq!(
-            tree.get("duration_ns").and_then(Json::as_f64),
+            spans[0].get("duration_ns").and_then(Json::as_f64),
             Some(3_000_000.0)
         );
     }
@@ -384,8 +374,8 @@ mod tests {
     #[test]
     fn open_span_exports_null_end() {
         let mut t = SpanTracer::new();
-        let s = t.start(ms(5), "c", "op", None);
-        let j = t.tree_json(s).to_string();
+        t.start(ms(5), "c", "op", None);
+        let j = t.to_json().to_string();
         assert!(j.contains(r#""end_ns":null"#));
         assert!(j.contains(r#""duration_ns":null"#));
     }

@@ -14,7 +14,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
-use ustore_sim::{CounterHandle, Sim, SimTime, TraceLevel};
+use ustore_sim::{CounterHandle, Sim, SimTime};
 
 use crate::profile::UsbProfile;
 
@@ -324,11 +324,6 @@ impl UsbHost {
                     }
                     if became_ready {
                         sim.count(&this.name(), "usb.enumerations", 1);
-                        sim.trace(
-                            TraceLevel::Debug,
-                            "usb",
-                            format!("{}: {} ready", this.name(), desc.id),
-                        );
                         this.emit(sim, UsbEvent::Ready(desc.id));
                     }
                 });
@@ -356,11 +351,6 @@ impl UsbHost {
                     );
                     i.topo_gen += 1;
                 }
-                sim.trace(
-                    TraceLevel::Warn,
-                    "usb",
-                    format!("{}: {} enumeration failed: {e}", self.name(), desc.id),
-                );
                 self.emit(sim, UsbEvent::EnumFailed(desc.id, e));
             }
         }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ustore_net::{Addr, BlockDevice, RpcNode};
-use ustore_sim::{Sim, SimTime, TraceLevel};
+use ustore_sim::{Sim, SimTime};
 
 /// DFS tunables.
 #[derive(Debug, Clone)]
@@ -541,7 +541,6 @@ impl DfsClient {
         let this = self.clone();
         let retry = move |this: DfsClient,
                           sim: &Sim,
-                          why: String,
                           file: String,
                           data: Vec<u8>,
                           cb: Box<dyn FnOnce(&Sim, Result<(), DfsError>)>| {
@@ -551,11 +550,6 @@ impl DfsClient {
                 let now = sim.now();
                 s.error_times.push(now);
             }
-            sim.trace(
-                TraceLevel::Warn,
-                "dfs-client",
-                format!("block write error: {why}; retrying"),
-            );
             let backoff = this.config.retry_backoff;
             let t2 = this.clone();
             sim.schedule_in(backoff, move |sim| {
@@ -571,16 +565,10 @@ impl DfsClient {
             64,
             self.config.rpc_timeout,
             move |sim, r| {
-                let plan = match r {
-                    Ok(resp) => match &*resp {
-                        Ok(p) => p.clone(),
-                        Err(e) => {
-                            retry(this, sim, e.clone(), file, data, cb);
-                            return;
-                        }
-                    },
-                    Err(e) => {
-                        retry(this, sim, e.to_string(), file, data, cb);
+                let plan = match r.as_deref() {
+                    Ok(Ok(p)) => p.clone(),
+                    _ => {
+                        retry(this, sim, file, data, cb);
                         return;
                     }
                 };
@@ -601,13 +589,8 @@ impl DfsClient {
                     bytes,
                     timeout,
                     move |sim, r| {
-                        let ok = matches!(r.as_deref(), Ok(Ok(())));
-                        if !ok {
-                            let why = match r {
-                                Ok(inner) => format!("{inner:?}"),
-                                Err(e) => e.to_string(),
-                            };
-                            retry(this2, sim, why, file, data, cb);
+                        if !matches!(r.as_deref(), Ok(Ok(()))) {
+                            retry(this2, sim, file, data, cb);
                             return;
                         }
                         // Commit the block.
@@ -825,7 +808,7 @@ mod tests {
         f.client.put(&f.sim, "/f", data, move |sim, r| {
             r.expect("put");
             // Kill the first replica's datanode; the read must still work.
-            net.set_down(sim, &Addr::new("dn-0"));
+            net.set_down(&Addr::new("dn-0"));
             client.get(sim, "/f", move |_, r| {
                 assert_eq!(r.expect("get despite dead replica"), expect);
                 d.set(true);
@@ -842,7 +825,7 @@ mod tests {
         // Take one datanode down *before* writing: pipelines through it
         // fail and the client retries until a healthy pipeline works
         // (round-robin placement rotates the head).
-        f.net.set_down(&f.sim, &Addr::new("dn-1"));
+        f.net.set_down(&Addr::new("dn-1"));
         let data = payload(2 << 20);
         let ok = Rc::new(Cell::new(false));
         let o = ok.clone();

@@ -129,7 +129,7 @@ fn allocate_fails_cleanly_when_metadata_store_is_down() {
     // Take down a majority of the coordination cluster.
     for c in s.coord.iter().take(3) {
         c.pause();
-        s.net.set_down(&s.sim, &c.addr());
+        s.net.set_down(&c.addr());
     }
     run_for(&s, 5);
     let client = s.client("unlucky");
@@ -140,9 +140,9 @@ fn allocate_fails_cleanly_when_metadata_store_is_down() {
     });
     run_for(&s, 60);
     if got.get().is_none() {
-        s.sim.with_trace(|t| {
-            for e in t.events().iter().rev().take(40) {
-                eprintln!("{e}");
+        s.sim.with_spans(|t| {
+            for span in t.spans().iter().rev().take(40) {
+                eprintln!("{span:?}");
             }
         });
     }

@@ -6,7 +6,10 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
-use ustore::{HealthSignal, Mounted, SpaceInfo, SystemConfig, UStoreSystem, WatchdogConfig};
+use ustore::{
+    DiskRecovery, HealthSignal, Mounted, SpaceInfo, SystemConfig, UStoreSystem, UnitId,
+    WatchdogConfig,
+};
 use ustore_fabric::{Component, DiskId, HostId, HubId};
 use ustore_net::{BlockDevice, NetConfig};
 use ustore_sim::{ScraperConfig, Sim};
@@ -282,14 +285,18 @@ fn leaf_hub_failure_is_reported_as_unrecoverable() {
     });
     s.runtime.hub_failed(&s.sim, leaf_hub);
     run_for(&s, 30);
-    // The master logged the repair request and the group stays dark.
-    let reported = s.sim.with_trace(|t| t.find("needs repair").is_some());
-    assert!(
-        reported,
-        "unrecoverable failure reported to the administrator"
-    );
+    // The group stays dark and the master reports each of its disks to
+    // the administrator for repair.
     let orphans = s.runtime.with_state(|st| st.orphaned_disks());
     assert_eq!(orphans.len(), 4, "the leaf hub's group awaits repair");
+    let master = s.active_master().expect("active master");
+    for d in &orphans {
+        assert_eq!(
+            master.disk_recovery(UnitId(0), *d),
+            Some(DiskRecovery::NeedsRepair),
+            "{d} reported as needing repair"
+        );
+    }
     // Repair restores service.
     s.runtime.hub_repaired(&s.sim, leaf_hub);
     run_for(&s, 15);
@@ -360,10 +367,16 @@ fn shared_hub_death_mid_read_storm_remounts_the_whole_cohort() {
         );
         assert!(s.runtime.disk_ready(*d), "{d} enumerated on its new host");
     }
-    let reported = s
-        .sim
-        .with_trace(|t| t.find("vanished from all USB trees").is_some());
-    assert!(reported, "master attributed the loss to the fabric sweep");
+    // The master's missing-disk sweep moved them: not a watchdog request
+    // (`Requested`) and not a host failover (which leaves no entry).
+    let master = s.active_master().expect("active master");
+    for d in &cohort {
+        assert_eq!(
+            master.disk_recovery(UnitId(0), *d),
+            Some(DiskRecovery::Swept),
+            "master attributed the loss of {d} to the fabric sweep"
+        );
+    }
 
     // The storm resumed against the remounted cohort.
     let after_recovery = oks.get();
@@ -394,6 +407,37 @@ fn shared_hub_death_mid_read_storm_remounts_the_whole_cohort() {
             "watchdog breach instants are roots, not children of client IO"
         );
         assert!(span.attr("value").is_some() && span.attr("threshold").is_some());
+    });
+}
+
+#[test]
+fn failover_with_nothing_to_move_closes_its_spans() {
+    // A restored host holds no disks (its old ones stay on the
+    // survivors), so killing it again leaves the master nothing to move.
+    // That failover's span tree must still close: a stale open
+    // `failover.reconfiguration` would adopt every later fabric command.
+    let s = UStoreSystem::prototype(7010);
+    s.settle();
+    s.kill_host(HostId(0));
+    run_for(&s, 30);
+    s.restore_host(HostId(0));
+    run_for(&s, 30);
+    let master = s.active_master().expect("active master");
+    assert!(master.host_alive(UnitId(0), HostId(0)), "host 0 rejoined");
+    assert!(
+        (0..16).all(|d| master.disk_host(UnitId(0), DiskId(d)) != Some(HostId(0))),
+        "host 0 holds no disks after its restore"
+    );
+    s.kill_host(HostId(0));
+    run_for(&s, 30);
+    s.sim.with_spans(|t| {
+        let second = t.by_name("failover").last().expect("second failover root");
+        assert!(!second.is_open(), "second failover root closed");
+        assert_eq!(second.attr("error"), Some("no_disks"));
+        assert!(
+            t.by_name("failover.reconfiguration").all(|r| !r.is_open()),
+            "no reconfiguration phase left open"
+        );
     });
 }
 
