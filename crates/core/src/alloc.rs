@@ -214,15 +214,19 @@ impl Allocator {
     }
 
     /// All spaces allocated on one disk.
-    pub fn spaces_on(&self, unit: UnitId, disk: DiskId) -> Vec<(SpaceName, Extent)> {
-        match self.disks.get(&(unit, disk)) {
-            None => Vec::new(),
-            Some(ds) => ds
-                .extents
-                .iter()
-                .map(|(s, e)| (SpaceName::new(unit, disk, *s), e.clone()))
-                .collect(),
-        }
+    pub fn spaces_on(
+        &self,
+        unit: UnitId,
+        disk: DiskId,
+    ) -> impl Iterator<Item = (SpaceName, &Extent)> + '_ {
+        self.disks
+            .get(&(unit, disk))
+            .into_iter()
+            .flat_map(move |ds| {
+                ds.extents
+                    .iter()
+                    .map(move |(s, e)| (SpaceName::new(unit, disk, *s), e))
+            })
     }
 
     /// All disks that hold data for `service` (power-management scope).
@@ -363,7 +367,7 @@ mod tests {
         let mut a = allocator(2, 10 * GB);
         let x = a.allocate("svc", GB, &no_attach(), None).expect("x");
         a.allocate("svc", GB, &no_attach(), None).expect("y");
-        assert_eq!(a.spaces_on(UnitId(0), x.name.disk).len(), 2);
+        assert_eq!(a.spaces_on(UnitId(0), x.name.disk).count(), 2);
         assert_eq!(a.disks_of_service("svc"), vec![(UnitId(0), x.name.disk)]);
         assert!(a.disks_of_service("nope").is_empty());
     }

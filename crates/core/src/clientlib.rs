@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use ustore_fabric::DiskId;
 use ustore_net::{Addr, BlockDevice, BlockError, IscsiSession, Network, ReadCb, RpcNode, WriteCb};
-use ustore_sim::{FastMap, ReqKind, Sim, SimTime, SpanId, TraceId};
+use ustore_sim::{Bytes, FastMap, ReqKind, Sim, SimTime, SpanId, TraceId};
 
 use crate::ids::SpaceName;
 use crate::messages::{
@@ -412,7 +412,7 @@ enum QueuedOp {
     },
     Write {
         offset: u64,
-        data: Vec<u8>,
+        data: Bytes,
         cb: WriteCb,
         attempts: u32,
         trace: Option<TraceId>,
@@ -470,6 +470,23 @@ impl Mounted {
     /// the paper's "notification call backs ... of disk status changes".
     pub fn on_remount(&self, cb: impl Fn(&Sim) + 'static) {
         self.inner.borrow_mut().on_remount.push(Rc::new(cb));
+    }
+
+    /// Writes `data` at `offset`, queueing it across remounts. The caller's
+    /// buffer is the one that reaches the disk: a `Vec<u8>` is moved into
+    /// a [`Bytes`], and no layer below copies it.
+    pub fn write(&self, sim: &Sim, offset: u64, data: impl Into<Bytes>, cb: WriteCb) {
+        let trace = sim.reqtracer().begin(ReqKind::Write, sim.now());
+        self.enqueue(
+            sim,
+            QueuedOp::Write {
+                offset,
+                data: data.into(),
+                cb,
+                attempts: 0,
+                trace,
+            },
+        );
     }
 
     fn enqueue(&self, sim: &Sim, op: QueuedOp) {
@@ -539,7 +556,8 @@ impl Mounted {
                 attempts,
                 trace,
             } => {
-                let data2 = data.clone();
+                // A retry resends the same buffer: keep a second reference.
+                let data2 = Bytes::clone(&data);
                 session.write(sim, offset, data, move |sim, r| match r {
                     Ok(()) => {
                         if let Some(id) = trace {
@@ -777,17 +795,7 @@ impl BlockDevice for Mounted {
         );
     }
 
-    fn write(&self, sim: &Sim, offset: u64, data: Vec<u8>, cb: WriteCb) {
-        let trace = sim.reqtracer().begin(ReqKind::Write, sim.now());
-        self.enqueue(
-            sim,
-            QueuedOp::Write {
-                offset,
-                data,
-                cb,
-                attempts: 0,
-                trace,
-            },
-        );
+    fn write(&self, sim: &Sim, offset: u64, data: Bytes, cb: WriteCb) {
+        Mounted::write(self, sim, offset, data, cb);
     }
 }

@@ -471,13 +471,16 @@ impl Master {
             if !m.active {
                 return HeartbeatAck::NotActive;
             }
+            // Split the borrow so the allocator's extents are read in place
+            // while the SysStat maps are updated.
+            let m = &mut *m;
             let key = (hb.unit, hb.host);
             m.host_last_hb.insert(key, sim.now());
             m.host_alive.insert(key, true);
             m.host_addr.insert(key, hb.addr.clone());
             let mut pushes = Vec::new();
             let now = sim.now();
-            for d in &hb.ready_disks {
+            for d in hb.ready_disks.iter() {
                 m.disk_host.insert((hb.unit, *d), hb.host);
                 m.disk_last_seen.insert((hb.unit, *d), now);
                 // Ensure every allocation on this disk is exposed there.
@@ -840,13 +843,14 @@ impl Master {
             let timeout = m.config.disk_timeout;
             let retry = m.config.disk_retry;
             let mut out = Vec::new();
-            let units: Vec<UnitId> = m.units.keys().copied().collect();
-            for unit in units {
+            // Split the borrow: the unit configs are read in place while
+            // the recovery map is updated.
+            let m = &mut *m;
+            for (&unit, conf) in &m.units {
                 // Skip while a host failover is running in this unit.
                 if m.failover_in_progress.iter().any(|(u, _)| *u == unit) {
                     continue;
                 }
-                let conf = m.units[&unit].clone();
                 let targets: Vec<HostId> = conf
                     .hosts
                     .iter()

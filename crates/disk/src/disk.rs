@@ -7,12 +7,13 @@
 //! injection, and per-disk statistics and energy accounting.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
 use ustore_sim::{
-    CounterHandle, Histogram, HistogramHandle, ReqStamp, Sim, SimRng, SimTime, Stage, Throughput,
+    Bytes, CounterHandle, FastMap, FastSet, Histogram, HistogramHandle, ReqStamp, Sim, SimRng,
+    SimTime, Stage, Throughput,
 };
 
 use crate::model::IoModel;
@@ -21,6 +22,43 @@ use crate::profile::{Direction, DiskProfile, PowerStateKind};
 
 /// Page size of the sparse payload store.
 const PAGE: u64 = 4096;
+const PAGE_LEN: usize = PAGE as usize;
+
+/// One 4 KiB page of the sparse payload store.
+///
+/// A write that covers a whole page stores no bytes of its own: the page
+/// is a window into the write's shared buffer. Only a page that a write
+/// covers partly gets its own copy, made when that write lands
+/// (copy-on-write). The cost of sharing is retention: a write's buffer
+/// stays alive until every page that points into it has been rewritten.
+enum Page {
+    /// `PAGE` bytes of a write's buffer, starting at this byte offset.
+    Shared(Bytes, usize),
+    /// A page's own copy.
+    Owned(Box<[u8; PAGE_LEN]>),
+}
+
+impl Page {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Page::Shared(buf, at) => &buf[*at..*at + PAGE_LEN],
+            Page::Owned(page) => &page[..],
+        }
+    }
+
+    /// The page's bytes for writing, copying a shared window first.
+    fn make_mut(&mut self) -> &mut [u8; PAGE_LEN] {
+        if let Page::Shared(..) = self {
+            let mut own = Box::new([0u8; PAGE_LEN]);
+            own.copy_from_slice(self.bytes());
+            *self = Page::Owned(own);
+        }
+        match self {
+            Page::Owned(page) => page,
+            Page::Shared(..) => unreachable!("made owned above"),
+        }
+    }
+}
 
 /// Errors a disk command can complete with.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,7 +108,7 @@ enum Pending {
     },
     Write {
         offset: u64,
-        data: Vec<u8>,
+        data: Bytes,
         cb: WriteCb,
     },
 }
@@ -178,8 +216,9 @@ struct Inner {
     /// commands overlapping it charge that overlap to `SpinUpWait`.
     last_spin: Option<(SimTime, SimTime)>,
     failed: bool,
-    bad_pages: HashSet<u64>,
-    data: Option<HashMap<u64, Box<[u8]>>>,
+    bad_pages: FastSet<u64>,
+    /// The sparse payload store, keyed by page number (see [`Page`]).
+    data: Option<FastMap<u64, Page>>,
     stats: DiskStats,
     epoch: u64, // bumped on power-off to invalidate in-flight completions
     // Gradual-degradation injection (Gray & van Ingen: drives drift before
@@ -256,8 +295,8 @@ impl Disk {
                 spin_started: None,
                 last_spin: None,
                 failed: false,
-                bad_pages: HashSet::new(),
-                data: store_data.then(HashMap::new),
+                bad_pages: FastSet::default(),
+                data: store_data.then(FastMap::default),
                 stats: DiskStats::default(),
                 epoch: 0,
                 latency_factor: 1.0,
@@ -345,18 +384,21 @@ impl Disk {
     }
 
     /// Submits a write of `data` at `offset`; `cb` fires on completion.
+    ///
+    /// The disk keeps the buffer itself, not a copy: every page the write
+    /// covers whole becomes a window into `data`.
     pub fn write(
         &self,
         sim: &Sim,
         offset: u64,
-        data: Vec<u8>,
+        data: impl Into<Bytes>,
         cb: impl FnOnce(&Sim, WriteResult) + 'static,
     ) {
         self.submit(
             sim,
             Pending::Write {
                 offset,
-                data,
+                data: data.into(),
                 cb: Box::new(cb),
             },
         );
@@ -606,7 +648,7 @@ impl Disk {
                     let s = offset.max(page_start);
                     let e = (offset + len).min(page_start + PAGE);
                     out[(s - offset) as usize..(e - offset) as usize].copy_from_slice(
-                        &page[(s - page_start) as usize..(e - page_start) as usize],
+                        &page.bytes()[(s - page_start) as usize..(e - page_start) as usize],
                     );
                 }
             }
@@ -614,28 +656,35 @@ impl Disk {
         Ok(out)
     }
 
-    fn do_write(&self, offset: u64, data: &[u8]) {
+    fn do_write(&self, offset: u64, data: &Bytes) {
         let mut i = self.inner.borrow_mut();
-        // Writing a page repairs a latent sector error on it.
-        let first_page = offset / PAGE;
-        let last_page = (offset + data.len() as u64 - 1) / PAGE;
-        for p in first_page..=last_page {
-            // Only fully overwritten pages are repaired.
+        let Inner {
+            bad_pages,
+            data: store,
+            ..
+        } = &mut *i;
+        let end = offset + data.len() as u64;
+        for p in offset / PAGE..=(end - 1) / PAGE {
             let page_start = p * PAGE;
-            if offset <= page_start && offset + data.len() as u64 >= page_start + PAGE {
-                i.bad_pages.remove(&p);
+            let s = offset.max(page_start);
+            let e = end.min(page_start + PAGE);
+            let src = (s - offset) as usize;
+            let whole = e - s == PAGE;
+            // Writing a whole page repairs a latent sector error on it.
+            if whole {
+                bad_pages.remove(&p);
             }
-        }
-        if let Some(store) = &mut i.data {
-            for p in first_page..=last_page {
-                let page_start = p * PAGE;
+            let Some(store) = store else {
+                continue;
+            };
+            if whole {
+                store.insert(p, Page::Shared(Bytes::clone(data), src));
+            } else {
                 let page = store
                     .entry(p)
-                    .or_insert_with(|| vec![0u8; PAGE as usize].into_boxed_slice());
-                let s = offset.max(page_start);
-                let e = (offset + data.len() as u64).min(page_start + PAGE);
-                page[(s - page_start) as usize..(e - page_start) as usize]
-                    .copy_from_slice(&data[(s - offset) as usize..(e - offset) as usize]);
+                    .or_insert_with(|| Page::Owned(Box::new([0u8; PAGE_LEN])));
+                page.make_mut()[(s - page_start) as usize..(e - page_start) as usize]
+                    .copy_from_slice(&data[src..src + (e - s) as usize]);
             }
         }
     }
@@ -861,6 +910,7 @@ impl Disk {
 mod tests {
     use super::*;
     use std::cell::Cell;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn setup() -> (Sim, Disk) {
@@ -1191,6 +1241,99 @@ mod tests {
             s5.set(true);
         });
         assert!(s4.get(), "failed-disk scrub completes synchronously");
+    }
+
+    /// Which pages of `0..n` the store holds, as `S`hared, `O`wned or `-`.
+    fn page_kinds(disk: &Disk, n: u64) -> String {
+        let i = disk.inner.borrow();
+        let store = i.data.as_ref().expect("disk stores data");
+        (0..n)
+            .map(|p| match store.get(&p) {
+                Some(Page::Shared(..)) => 'S',
+                Some(Page::Owned(_)) => 'O',
+                None => '-',
+            })
+            .collect()
+    }
+
+    fn read_all(sim: &Sim, disk: &Disk, offset: u64, len: u64) -> Vec<u8> {
+        let out = Rc::new(RefCell::new(None));
+        let o = out.clone();
+        disk.read(sim, offset, len, move |_, r| *o.borrow_mut() = Some(r));
+        sim.run();
+        let r = out.borrow_mut().take().expect("read completed");
+        r.expect("read")
+    }
+
+    #[test]
+    fn whole_pages_share_the_write_buffer_and_partial_writes_copy_on_write() {
+        let (sim, disk) = setup();
+        let buf: Bytes = Arc::new((0..3 * PAGE_LEN).map(|i| (i % 251) as u8).collect());
+        // Starts 100 bytes into page 0: pages 1-2 are whole, 0 and 3 not.
+        disk.write(&sim, 100, Bytes::clone(&buf), |_, r| r.expect("write"));
+        sim.run();
+        assert_eq!(page_kinds(&disk, 5), "OSSO-");
+        assert_eq!(Arc::strong_count(&buf), 3);
+
+        // A 100-byte write straddling pages 1|2 copies exactly those two.
+        let at = 2 * PAGE - 50;
+        disk.write(&sim, at, vec![0xEE; 100], |_, r| r.expect("write"));
+        sim.run();
+        assert_eq!(page_kinds(&disk, 5), "OOOO-");
+        assert_eq!(Arc::strong_count(&buf), 1, "windows released");
+
+        let mut model = vec![0u8; 4 * PAGE_LEN];
+        model[100..100 + buf.len()].copy_from_slice(&buf);
+        model[at as usize..at as usize + 100].fill(0xEE);
+        assert_eq!(read_all(&sim, &disk, 0, 4 * PAGE), model);
+        let fresh: Vec<u8> = (0..3 * PAGE_LEN).map(|i| (i % 251) as u8).collect();
+        assert_eq!(*buf, fresh, "the shared buffer is never written through");
+
+        // Rewriting an owned page whole makes it a window again.
+        disk.write(&sim, PAGE, vec![7u8; PAGE_LEN], |_, r| r.expect("write"));
+        sim.run();
+        assert_eq!(page_kinds(&disk, 5), "OSOO-");
+        model[PAGE_LEN..2 * PAGE_LEN].fill(7);
+        assert_eq!(read_all(&sim, &disk, 0, 4 * PAGE), model);
+    }
+
+    #[test]
+    fn shared_pages_keep_lse_repair_and_scrub_semantics() {
+        let (sim, disk) = setup();
+        for p in 0..3 {
+            disk.inject_bad_page(p * PAGE);
+        }
+        // A partial write leaves its page's LSE; whole pages repair theirs.
+        disk.write(&sim, 10, vec![1u8; 100], |_, r| r.expect("write"));
+        disk.write(&sim, PAGE, vec![2u8; 2 * PAGE_LEN], |_, r| {
+            r.expect("write")
+        });
+        sim.run();
+        assert_eq!(page_kinds(&disk, 3), "OSS");
+        assert_eq!(disk.bad_page_count(), 1);
+        let err = Rc::new(RefCell::new(None));
+        let e = err.clone();
+        disk.read(&sim, 0, 3 * PAGE, move |_, r| *e.borrow_mut() = r.err());
+        sim.run();
+        assert_eq!(*err.borrow(), Some(DiskError::Medium { offset: 0 }));
+
+        // An LSE on a shared page: scrub repairs it and the window's
+        // payload survives, exactly as for an owned page.
+        disk.inject_bad_page(PAGE + 1);
+        let report = Rc::new(Cell::new(None));
+        let r2 = report.clone();
+        disk.scrub(&sim, 0, 3 * PAGE, move |_, r| {
+            r2.set(Some(r.expect("scrub")))
+        });
+        sim.run();
+        let rep = report.get().expect("scrub ran");
+        assert_eq!((rep.scanned_pages, rep.bad_found, rep.repaired), (3, 2, 2));
+        assert_eq!(disk.bad_page_count(), 0);
+        assert_eq!(page_kinds(&disk, 3), "OSS");
+        let mut model = vec![0u8; 3 * PAGE_LEN];
+        model[10..110].fill(1);
+        model[PAGE_LEN..].fill(2);
+        assert_eq!(read_all(&sim, &disk, 0, 3 * PAGE), model);
     }
 
     #[test]

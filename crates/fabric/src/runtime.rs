@@ -19,7 +19,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use ustore_disk::{Disk, DiskError, DiskProfile};
-use ustore_sim::{Sim, SimTime, SpanId};
+use ustore_sim::{Bytes, Sim, SimTime, SpanId};
 use ustore_usb::{BusDir, DeviceDesc, DeviceId, DeviceKind, DeviceState, UsbHost, UsbProfile};
 
 use crate::control::{ControlError, ControlPlane, RelayBank};
@@ -778,15 +778,16 @@ impl FabricRuntime {
         });
     }
 
-    /// Writes to a fabric-attached disk.
+    /// Writes to a fabric-attached disk, handing it the caller's buffer.
     pub fn write(
         &self,
         sim: &Sim,
         d: DiskId,
         offset: u64,
-        data: Vec<u8>,
+        data: impl Into<Bytes>,
         cb: impl FnOnce(&Sim, Result<Vec<u8>, FabricIoError>) + 'static,
     ) {
+        let data = data.into();
         let (host, disk) = match self.io_route(d) {
             Ok(r) => r,
             Err(e) => {
@@ -872,7 +873,7 @@ impl FabricDisk {
         &self,
         sim: &Sim,
         offset: u64,
-        data: Vec<u8>,
+        data: impl Into<Bytes>,
         cb: impl FnOnce(&Sim, Result<(), FabricIoError>) + 'static,
     ) {
         self.runtime

@@ -15,7 +15,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ustore_sim::Sim;
+use ustore_sim::{Bytes, Sim};
 
 use crate::blockdev::{BlockDevice, BlockError};
 use crate::network::Addr;
@@ -65,7 +65,7 @@ type ReadResp = Result<Vec<u8>, IscsiError>;
 struct WriteReq {
     target: String,
     offset: u64,
-    data: Vec<u8>,
+    data: Bytes,
 }
 type WriteResp = Result<(), IscsiError>;
 
@@ -152,7 +152,7 @@ impl IscsiServer {
                     dev.write(
                         sim,
                         req.offset,
-                        req.data.clone(),
+                        Bytes::clone(&req.data),
                         Box::new(move |sim, res| {
                             if res.is_ok() {
                                 sim.count(&comp, "iscsi.write_bytes", len);
@@ -299,14 +299,16 @@ impl IscsiSession {
         );
     }
 
-    /// Writes `data` at `offset` on the remote target.
+    /// Writes `data` at `offset` on the remote target. The request carries
+    /// the caller's buffer, not a copy of it.
     pub fn write(
         &self,
         sim: &Sim,
         offset: u64,
-        data: Vec<u8>,
+        data: impl Into<Bytes>,
         cb: impl FnOnce(&Sim, Result<(), IscsiError>) + 'static,
     ) {
+        let data = data.into();
         let bytes = data.len() as u64 + 32;
         self.rpc.call::<WriteResp>(
             sim,
@@ -344,7 +346,7 @@ impl BlockDevice for IscsiSession {
         });
     }
 
-    fn write(&self, sim: &Sim, offset: u64, data: Vec<u8>, cb: crate::blockdev::WriteCb) {
+    fn write(&self, sim: &Sim, offset: u64, data: Bytes, cb: crate::blockdev::WriteCb) {
         IscsiSession::write(self, sim, offset, data, move |sim, r| {
             cb(sim, r.map_err(|e| BlockError::Unavailable(e.to_string())));
         });
@@ -530,7 +532,7 @@ mod tests {
                 dev.write(
                     sim,
                     0,
-                    vec![5u8; 8],
+                    vec![5u8; 8].into(),
                     Box::new(move |sim, r| {
                         r.expect("write");
                         dev2.read(

@@ -39,3 +39,4 @@ pub use blockdev::{BlockDevice, BlockError, MemDevice, Partition, ReadCb, WriteC
 pub use iscsi::{IscsiError, IscsiServer, IscsiSession};
 pub use network::{Addr, Envelope, NetConfig, Network, Payload};
 pub use rpc::{Responder, RpcError, RpcNode};
+pub use ustore_sim::Bytes;

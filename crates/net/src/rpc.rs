@@ -44,7 +44,7 @@ impl std::error::Error for RpcError {}
 enum RpcMsg {
     Request {
         id: u64,
-        method: String,
+        method: &'static str,
         body: Payload,
         /// Request-lifecycle stamp riding this hop (no wire bytes: the
         /// simulated message size is unchanged, so tracing cannot perturb
@@ -83,7 +83,7 @@ struct RpcMetrics {
 struct Inner {
     next_id: u64,
     pending: FastMap<u64, Pending>,
-    handlers: FastMap<String, Handler>,
+    handlers: FastMap<&'static str, Handler>,
     metrics: Option<RpcMetrics>,
 }
 
@@ -230,11 +230,17 @@ impl RpcNode {
     }
 
     /// Registers a handler for `method` (replacing any previous one).
-    pub fn serve(&self, method: &str, handler: impl Fn(&Sim, Payload, Responder) + 'static) {
+    /// Method names are static strings, so neither serving nor calling
+    /// allocates one.
+    pub fn serve(
+        &self,
+        method: &'static str,
+        handler: impl Fn(&Sim, Payload, Responder) + 'static,
+    ) {
         self.inner
             .borrow_mut()
             .handlers
-            .insert(method.to_owned(), Rc::new(handler));
+            .insert(method, Rc::new(handler));
     }
 
     /// Issues a call; `cb` receives the typed response or an error.
@@ -242,7 +248,7 @@ impl RpcNode {
         &self,
         sim: &Sim,
         to: &Addr,
-        method: &str,
+        method: &'static str,
         body: Payload,
         bytes: u64,
         timeout: Duration,
@@ -282,7 +288,7 @@ impl RpcNode {
         );
         let msg = RpcMsg::Request {
             id,
-            method: method.to_owned(),
+            method,
             body,
             stamp: sim.current_stamp(),
         };

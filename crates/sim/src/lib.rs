@@ -93,6 +93,16 @@ pub use shard::{
 pub use span::{Span, SpanId, SpanTracer};
 pub use time::SimTime;
 
+/// An immutable block payload shared by every layer it passes through.
+///
+/// A write's bytes are allocated once, by its caller, and travel as this
+/// one reference-counted buffer from the ClientLib queue through iSCSI,
+/// the EndPoint and the USB fabric down to the disk's page store, which
+/// keeps fully written pages as windows into it. Cloning a `Bytes` bumps
+/// a count; it never copies the payload. A `Vec<u8>` converts with
+/// `.into()` (a move, not a copy).
+pub type Bytes = std::sync::Arc<Vec<u8>>;
+
 // The benchmark package (`perfbench/`) is frozen until its next revision
 // and still configures the removed string trace log; these names keep it
 // building and do nothing.

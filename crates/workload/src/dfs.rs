@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ustore_net::{Addr, BlockDevice, RpcNode};
-use ustore_sim::{Sim, SimTime};
+use ustore_sim::{Bytes, Sim, SimTime};
 
 /// DFS tunables.
 #[derive(Debug, Clone)]
@@ -120,7 +120,7 @@ type LocateResp = Result<Vec<BlockMeta>, DfsError>;
 #[derive(Clone)]
 struct WriteBlockReq {
     id: u64,
-    data: Vec<u8>,
+    data: Bytes,
     rest: Vec<Addr>,
 }
 
@@ -575,7 +575,7 @@ impl DfsClient {
                 let head = plan.pipeline[0].clone();
                 let req = WriteBlockReq {
                     id: plan.id,
-                    data: data.clone(),
+                    data: data.clone().into(),
                     rest: plan.pipeline[1..].to_vec(),
                 };
                 let bytes = req.data.len() as u64 + 64;

@@ -119,7 +119,7 @@ fn allocator_extents_never_overlap() {
         }
         // Check pairwise disjointness per disk.
         for d in 0..3u32 {
-            let spaces = a.spaces_on(UnitId(0), ustore_fabric::DiskId(d));
+            let spaces: Vec<_> = a.spaces_on(UnitId(0), ustore_fabric::DiskId(d)).collect();
             for (i, (_, x)) in spaces.iter().enumerate() {
                 assert!(x.offset + x.len <= 4096, "case {case}");
                 for (_, y) in spaces.iter().skip(i + 1) {
